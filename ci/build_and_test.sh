@@ -343,6 +343,20 @@ echo "fleet resume: OK (resume = uninterrupted at QAVAT_THREADS=1/4," \
 rm -rf "${STORE_TMP}"
 trap - EXIT
 
+# Benchmark selftest: perfbench/ builds its own Release qbench from this
+# checkout (into $CARGO_TARGET_DIR, default .bench_build/) and checks the
+# benchmark's correctness checks against planted faults (27 cases, ~2 s
+# once built): same seed -> byte-identical generated inputs, each check
+# passes on real output and fails on its planted fault. Nonzero exit on
+# any failed case.
+echo "== perfbench selftest =="
+if command -v python3 >/dev/null 2>&1; then
+  (cd "${REPO_ROOT}" && python3 perfbench/run.py --selftest)
+else
+  echo "perfbench selftest: python3 not found" >&2
+  exit 1
+fi
+
 # Micro-bench perf record (Release only; skipped when google-benchmark was
 # not found). Writes the machine-readable BENCH_micro.json artifact and
 # runs the soft GMAC/s regression gate against ci/bench_baseline.json

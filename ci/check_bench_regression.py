@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Soft perf-regression gate over BENCH_micro.json.
 
-Compares the GMAC/s of the kernels pinned in ci/bench_baseline.json
-against a fresh BENCH_micro.json (written by bench_micro_smoke). A kernel
-more than the baseline's tolerance below its committed rate prints a loud
-banner; the exit code stays 0 unless QAVAT_BENCH_STRICT=1, because
+Compares the throughput of the kernels pinned in ci/bench_baseline.json
+against a fresh BENCH_micro.json (written by bench_micro_smoke,
+bench_gemm_sweep and bench_fleet). The record's rate column is generic:
+GMAC/s for GEMM and conv kernels, other units for the rest, named per row
+by the baseline's "units" map (rows it omits are GMAC/s), and every row
+prints in its own unit with four significant digits. A kernel more than
+the baseline's tolerance below its committed rate prints a loud banner; the exit code stays 0 unless QAVAT_BENCH_STRICT=1, because
 wall-clock on shared CI hosts is noisy — the banner is the signal, the
 committed baseline the trajectory record.
 
@@ -30,29 +33,31 @@ def main() -> int:
 
     rates = {k["name"]: k["gmacs"] for k in bench.get("kernels", [])}
     tolerance = float(base.get("tolerance", 0.20))
+    units = base.get("units", {})
     regressions = []
     for name, pinned in base.get("gmacs", {}).items():
+        unit = units.get(name, "GMAC/s")
         got = rates.get(name)
         if got is None:
             # A vanished kernel (renamed/deleted bench) is itself a
             # regression: its throughput just became unmonitored.
             print(f"bench-check: baseline kernel '{name}' MISSING from "
                   f"{bench_path} (renamed or deleted? re-pin the baseline)")
-            regressions.append((name, 0.0, pinned))
+            regressions.append((name, 0.0, pinned, unit))
             continue
         floor = pinned * (1.0 - tolerance)
         status = "OK" if got >= floor else "REGRESSED"
-        print(f"bench-check: {name:<28} {got:8.2f} GMAC/s "
-              f"(baseline {pinned:.2f}, floor {floor:.2f})  {status}")
+        print(f"bench-check: {name:<34} {got:>10.4g} {unit:<12} "
+              f"(baseline {pinned:.4g}, floor {floor:.4g})  {status}")
         if got < floor:
-            regressions.append((name, got, pinned))
+            regressions.append((name, got, pinned, unit))
 
     if regressions:
         print("=" * 70)
-        print("PERF REGRESSION: GMAC/s dropped more than "
+        print("PERF REGRESSION: throughput dropped more than "
               f"{tolerance:.0%} below the committed baseline:")
-        for name, got, pinned in regressions:
-            print(f"  {name}: {got:.2f} vs baseline {pinned:.2f} "
+        for name, got, pinned, unit in regressions:
+            print(f"  {name}: {got:.4g} vs baseline {pinned:.4g} {unit} "
                   f"({got / pinned:.0%})")
         print("If intentional, re-pin ci/bench_baseline.json; otherwise find")
         print("the commit that slowed the kernel before it ships.")

@@ -53,6 +53,8 @@ class Module {
 
   void add_layer(std::unique_ptr<Layer> layer) {
     layer->set_workspace(&workspace_);
+    // backward() discards the gradient w.r.t. the model input.
+    if (layers_.empty()) layer->set_input_grad(false);
     layers_.push_back(std::move(layer));
   }
 

@@ -387,6 +387,7 @@ Tensor QuantLinear::backward(const Tensor& gy) {
   Tensor& dw = ws_->acquire(this, kWsDw, {fan_out_, fan_in_});
   matmul_tn_into(gy, xq_, dw);
   accumulate_weight_grad(dw);
+  if (!input_grad_) return Tensor();
   Tensor gx = matmul(gy, weff_);
   if (x_mask_.size() == gx.size()) {
     float* p = gx.data();
@@ -504,45 +505,18 @@ Tensor QuantConv2d::backward(const Tensor& gy) {
     throw std::logic_error(
         "QuantConv2d::backward: analog backend is inference-only");
   }
-  const index_t n = gy.dim(0), oh = gy.dim(2), ow = gy.dim(3);
-  const index_t ohw = oh * ow, cout = out_channels_;
-  // Permute to {N*OH*OW, cout} (inverse of forward's layout change).
-  Tensor& gy2d = ws_->acquire(this, kWsGy2d, {n * ohw, cout});
-  const float* pg = gy.data();
-  float* p2 = gy2d.data();
-  parallel_for_elems(n * ohw, [=](index_t r0, index_t r1) {
-    for (index_t r = r0; r < r1; ++r) {
-      const index_t ni = r / ohw, pos = r - ni * ohw;
-      const float* src = pg + ni * cout * ohw + pos;
-      float* dst = p2 + r * cout;
-      for (index_t co = 0; co < cout; ++co) dst[co] = src[co * ohw];
-    }
-  });
-  // Bias gradient: serial column reduction in ascending (image, position)
-  // order — kept out of the threaded permute so no accumulation races.
-  bias_.ensure_grad();
-  float* pb = bias_.grad.data();
-  for (index_t r = 0; r < n * ohw; ++r) {
-    const float* row = p2 + r * cout;
-    for (index_t co = 0; co < cout; ++co) pb[co] += row[co];
-  }
-  Tensor& dw = ws_->acquire(this, kWsDw, {fan_out_, fan_in_});
-  matmul_tn_into(gy2d, cols_, dw);
-  accumulate_weight_grad(dw);
-  Tensor& dcols = ws_->acquire(this, kWsDcols, {n * ohw, fan_in_});
-  matmul_into(gy2d, weff_, dcols);
+  const index_t n = gy.dim(0);
   const ConvGeom geom{n,       in_channels_, x_shape_[2], x_shape_[3],
-                      kernel_, stride_,      pad_,        oh,
-                      ow};
+                      kernel_, stride_,      pad_,        gy.dim(2),
+                      gy.dim(3)};
+  bias_.ensure_grad();
+  Tensor& gyt = ws_->acquire(this, kWsGyt, {out_channels_, geom.rows()});
+  Tensor& dw = ws_->acquire(this, kWsDw, {fan_out_, fan_in_});
+  const bool masked = x_mask_.size() == n * in_channels_ * geom.h * geom.w;
   Tensor gx;
-  col2im(dcols, geom, gx);
-  if (x_mask_.size() == gx.size()) {
-    float* p = gx.data();
-    const float* m = x_mask_.data();
-    parallel_for_elems(gx.size(), [p, m](index_t i0, index_t i1) {
-      for (index_t i = i0; i < i1; ++i) p[i] *= m[i];
-    });
-  }
+  conv2d_backward(gy, cols_, weff_, geom, masked ? &x_mask_ : nullptr, gyt, dw,
+                  bias_.grad.data(), input_grad_ ? &gx : nullptr);
+  accumulate_weight_grad(dw);
   return gx;
 }
 

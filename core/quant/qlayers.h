@@ -134,9 +134,16 @@ class Layer {
   /// at add_layer time); layers without scratch needs ignore it.
   virtual void set_workspace(Workspace* ws) {}
   bool training() const { return training_; }
+  /// Whether backward() must return the gradient w.r.t. its input.
+  /// Module::add_layer clears it on a model's first layer, whose input
+  /// gradient (w.r.t. the images) nothing consumes; the quant layers then
+  /// compute only their parameter gradients and return an empty tensor.
+  void set_input_grad(bool on) { input_grad_ = on; }
+  bool input_grad() const { return input_grad_; }
 
  protected:
   bool training_ = true;
+  bool input_grad_ = true;
 };
 
 class QuantLayerBase : public Layer {
@@ -222,9 +229,8 @@ class QuantLayerBase : public Layer {
   enum WsSlot {
     kWsXq = 0,      // quantized input (training conv path)
     kWsY2d = 1,     // 2-D analog output before the NCHW permute
-    kWsGy2d = 2,    // permuted upstream gradient
+    kWsGyt = 2,     // channel-major upstream gradient (conv backward)
     kWsDw = 3,      // grad wrt effective weight
-    kWsDcols = 4,   // grad wrt im2col matrix
     kWsBlock = 5,   // first chip block of a shared batched input
   };
   /// Effective weight for the analog MVM: quantize-dequantize (when
@@ -312,10 +318,12 @@ class QuantLinear : public QuantLayerBase {
 ///
 /// Inference forwards fuse the activation quantizer into the im2col
 /// gather (tensor/conv_ops.h) — no intermediate quantized tensor — and
-/// all scratch (2-D GEMM output, permuted gradients) lives in the
-/// workspace, so repeated same-shape calls are allocation-free. `cols_`
-/// stays a member: it is the forward cache backward consumes, which the
-/// workspace lifetime contract excludes from its slots.
+/// all scratch (2-D GEMM output, channel-major gradients) lives in the
+/// workspace, so repeated same-shape calls are allocation-free. Backward
+/// runs tensor/conv_ops.h conv2d_backward (per-image channel-major
+/// weight and input gradients). `cols_` stays a member: it is the
+/// forward cache backward consumes, which the workspace lifetime
+/// contract excludes from its slots.
 class QuantConv2d : public QuantLayerBase {
  public:
   QuantConv2d(index_t in_channels, index_t out_channels, index_t kernel,

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <initializer_list>
 #include <map>
+#include <string>
 
 #include "eval/experiment.h"
 #include "pim/tiling.h"
@@ -115,9 +116,38 @@ bool parse_string(const char*& p, std::string* out) {
   return true;
 }
 
-bool parse_value(const char*& p, Jv* out) {
+// Deepest object nesting parse_value accepts (the root object is level
+// 1; to_json() emits at most 3). Each level is one stack frame of the
+// recursive descent, so the cap turns a hostile deeply nested document
+// into a clean error instead of a stack overflow.
+constexpr int kMaxJsonDepth = 32;
+
+// The chain of keys from the root to the value being parsed, walked only
+// to name the field in a depth-limit error.
+struct JsonPath {
+  const JsonPath* parent;
+  const std::string* key;
+};
+
+std::string dotted(const JsonPath* path) {
+  std::string s;
+  for (; path != nullptr; path = path->parent) {
+    s = s.empty() ? *path->key : *path->key + "." + s;
+  }
+  return s.empty() ? "(root)" : s;
+}
+
+bool parse_value(const char*& p, Jv* out, std::string* err,
+                 const JsonPath* path = nullptr, int depth = 1) {
   skip_ws(p);
   if (*p == '{') {
+    if (depth > kMaxJsonDepth) {
+      if (err != nullptr && err->empty()) {
+        *err = dotted(path) + ": objects nested deeper than " +
+               std::to_string(kMaxJsonDepth) + " levels";
+      }
+      return false;
+    }
     ++p;
     out->kind = Jv::kObj;
     skip_ws(p);
@@ -133,7 +163,8 @@ bool parse_value(const char*& p, Jv* out) {
       if (*p != ':') return false;
       ++p;
       Jv child;
-      if (!parse_value(p, &child)) return false;
+      const JsonPath child_path{path, &name};
+      if (!parse_value(p, &child, err, &child_path, depth + 1)) return false;
       out->obj.emplace(std::move(name), std::move(child));
       skip_ws(p);
       if (*p == ',') {
@@ -394,7 +425,7 @@ bool ScenarioSpec::from_json(const std::string& text, ScenarioSpec* out,
   if (error != nullptr) error->clear();
   const char* p = text.c_str();
   Jv root;
-  if (!parse_value(p, &root) || root.kind != Jv::kObj) {
+  if (!parse_value(p, &root, error) || root.kind != Jv::kObj) {
     if (error != nullptr && error->empty()) *error = "malformed JSON";
     return false;
   }

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
+#include <vector>
 
+#include "tensor/gemm_tile.h"
 #include "tensor/parallel_for.h"
 
 namespace qavat {
@@ -195,6 +198,355 @@ void col2im(const Tensor& cols, const ConvGeom& g, Tensor& gx) {
     case 3: col2im_sweep<3>(cols, g, gx); break;
     case 5: col2im_sweep<5>(cols, g, gx); break;
     default: col2im_sweep<0>(cols, g, gx); break;
+  }
+}
+
+namespace {
+
+// Conv backward schedule. GEMM grains mirror tensor/ops.cpp: chunks carry
+// at least kMinMacsPerChunk MACs and problems below kSerialMacs never
+// fork — pure functions of shape, so the split never depends on the
+// thread count.
+constexpr index_t kMinMacsPerChunk = index_t{1} << 19;
+constexpr index_t kSerialMacs = index_t{1} << 21;
+// Contraction rows (image positions) per weight-gradient block: the
+// block's kJTile-column slice of cols (kKBlock * 128 B) stays in L1 while
+// every row band of dW reuses it, and the whole block (kKBlock * ckk
+// floats) stays in L2 across the column tiles.
+constexpr index_t kKBlock = 256;
+// Minimum input-gradient slab width in positions: planes narrower than
+// this are batched several images per slab so the TN GEMM runs
+// full-width column tiles instead of a ragged remainder per image.
+constexpr index_t kMinSlabCols = 128;
+// Output columns per register chunk of the stride-1 col2im.
+constexpr index_t kSlabChunk = 16;
+
+// One dW tile's contribution from one contraction block: C rows [i,
+// i+rows) x columns [j0, j0+jr) of dw (row stride n) += the gyt rows (row
+// stride l, block offset applied in a0) times the block b of cols; the
+// chain starts from 0.0f on the first block and continues from dw after.
+void dw_tile(const float* a0, index_t l, const float* b, index_t n, float* dw,
+             index_t i, index_t rows, index_t j0, index_t jr, index_t kb,
+             bool first) {
+  auto load_a = [a0, l](index_t p, index_t r) { return a0[r * l + p]; };
+  if (first) {
+    gemm::mul_band<false>(load_a, b, n, j0, dw, i, rows, j0, jr, kb, n);
+  } else {
+    gemm::mul_band<true>(load_a, b, n, j0, dw, i, rows, j0, jr, kb, n);
+  }
+}
+
+// dW {m, n} = gyt {m, L} * cols {L, n}, the contraction blocked into
+// kKBlock-row segments chained through dW with the Acc tile kernels:
+// every element sums in ascending (image, position) order from 0.0f,
+// exactly one unblocked pass. Threads split the output tiles (4 rows x
+// kJTile columns, column-tile-major so a chunk shares its cols slices);
+// within a chunk the contraction blocks go outermost.
+//
+// A ragged last column tile (n not a multiple of kJTile and not kJTile/2
+// — e.g. a stem layer's ckk of 9 or 27) would run the kernel with a
+// runtime width, whose accumulators cannot stay in registers. It runs
+// instead at the next fixed width (16 or 32) on a zero-padded copy of
+// its cols slice and a copy of its dW tile, then writes back the real
+// columns; the padding lanes are computed and dropped, and every real
+// element sees the same operations in the same order.
+void conv_weight_grad(const float* gyt, const float* cols, float* dw, index_t m,
+                      index_t l, index_t n) {
+  const index_t bands = (m + gemm::kRowBlock - 1) / gemm::kRowBlock;
+  const index_t tiles = bands * ((n + gemm::kJTile - 1) / gemm::kJTile);
+  auto run = [=](index_t t0, index_t t1) {
+    thread_local std::vector<float> bpack(
+        static_cast<std::size_t>(kKBlock * gemm::kJTile));
+    float ct[gemm::kRowBlock * gemm::kJTile];
+    for (index_t p0 = 0; p0 < l; p0 += kKBlock) {
+      const index_t kb = std::min(kKBlock, l - p0);
+      const float* b = cols + p0 * n;
+      index_t packed_jt = -1;
+      for (index_t t = t0; t < t1; ++t) {
+        const index_t jt = t / bands;
+        const index_t i = (t - jt * bands) * gemm::kRowBlock;
+        const index_t rows = std::min(gemm::kRowBlock, m - i);
+        const index_t j0 = jt * gemm::kJTile;
+        const index_t jr = std::min(gemm::kJTile, n - j0);
+        const float* a0 = gyt + i * l + p0;
+        if (jr == gemm::kJTile || jr == gemm::kJTile / 2) {
+          dw_tile(a0, l, b, n, dw, i, rows, j0, jr, kb, p0 == 0);
+          continue;
+        }
+        const index_t pw =
+            jr < gemm::kJTile / 2 ? gemm::kJTile / 2 : gemm::kJTile;
+        if (packed_jt != jt) {
+          for (index_t p = 0; p < kb; ++p) {
+            float* dst = bpack.data() + p * pw;
+            const float* src = b + p * n + j0;
+            for (index_t jj = 0; jj < pw; ++jj) {
+              dst[jj] = jj < jr ? src[jj] : 0.0f;
+            }
+          }
+          packed_jt = jt;
+        }
+        for (index_t r = 0; r < rows; ++r) {
+          for (index_t jj = 0; jj < pw; ++jj) {
+            ct[r * pw + jj] = jj < jr ? dw[(i + r) * n + j0 + jj] : 0.0f;
+          }
+        }
+        dw_tile(a0, l, bpack.data(), pw, ct, 0, rows, 0, pw, kb, p0 == 0);
+        for (index_t r = 0; r < rows; ++r) {
+          std::memcpy(dw + (i + r) * n + j0, ct + r * pw,
+                      static_cast<std::size_t>(jr) * sizeof(float));
+        }
+      }
+    }
+  };
+  const index_t macs_per_tile = gemm::kRowBlock * gemm::kJTile * l;
+  if (m * n * l < kSerialMacs) {
+    run(index_t{0}, tiles);
+  } else {
+    parallel_for(index_t{0}, tiles,
+                 std::max<index_t>(1, kMinMacsPerChunk / macs_per_tile), run);
+  }
+}
+
+// Channel-major col2im of one slab {ckk, ld} holding `gn` images' input
+// gradient columns (image i at column offset i*OH*OW) into gx images
+// [n0, n0+gn), multiplied by the STE mask on write. Per element: 0.0f,
+// then the window contributions in ascending (ky, kx), then the mask —
+// the same operation order as col2im followed by a mask pass. Each
+// (ky, kx) tap adds one slab row, run by run, contiguous along x; the tap
+// bounds are computed once per (plane, tap), not per input row.
+template <index_t KS>
+void col2im_slab(const float* slab, index_t ld, const ConvGeom& g, index_t n0,
+                 index_t gn, const float* mask, float* gx) {
+  const index_t k = KS > 0 ? KS : g.k;
+  const index_t stride = g.stride, pad = g.pad;
+  const index_t h = g.h, w = g.w, oh = g.oh, ow = g.ow, hw = h * w;
+  for (index_t gi = 0; gi < gn; ++gi) {
+    for (index_t ci = 0; ci < g.c; ++ci) {
+      const index_t off = ((n0 + gi) * g.c + ci) * hw;
+      float* plane = gx + off;
+      for (index_t i = 0; i < hw; ++i) plane[i] = 0.0f;
+      for (index_t ky = 0; ky < k; ++ky) {
+        // Output rows y with iy = y*stride - pad + ky in [0, h). A
+        // negative upper numerator means no y reaches the image (C++
+        // division truncates toward zero); likewise for xo below.
+        const index_t yhi_num = h - 1 + pad - ky;
+        if (yhi_num < 0) continue;
+        const index_t y_lo =
+            pad > ky ? (pad - ky + stride - 1) / stride : index_t{0};
+        const index_t y_hi = std::min<index_t>(oh - 1, yhi_num / stride);
+        for (index_t kx = 0; kx < k; ++kx) {
+          const index_t xhi_num = w - 1 + pad - kx;
+          if (xhi_num < 0) continue;
+          const index_t xo_lo =
+              pad > kx ? (pad - kx + stride - 1) / stride : index_t{0};
+          const index_t cnt =
+              std::min<index_t>(ow - 1, xhi_num / stride) - xo_lo + 1;
+          if (cnt <= 0) continue;
+          const float* src =
+              slab + ((ci * k + ky) * k + kx) * ld + gi * oh * ow + xo_lo;
+          for (index_t y = y_lo; y <= y_hi; ++y) {
+            // xo_lo*stride + kx - pad >= 0: never a before-the-row pointer.
+            float* dst =
+                plane + (y * stride - pad + ky) * w + xo_lo * stride + kx - pad;
+            const float* s = src + y * ow;
+            if (stride == 1) {
+              QAVAT_SIMD
+              for (index_t t = 0; t < cnt; ++t) dst[t] += s[t];
+            } else {
+              for (index_t t = 0; t < cnt; ++t) dst[t * stride] += s[t];
+            }
+          }
+        }
+      }
+      if (mask != nullptr) {
+        const float* m = mask + off;
+        QAVAT_SIMD
+        for (index_t i = 0; i < hw; ++i) plane[i] *= m[i];
+      }
+    }
+  }
+}
+
+// Stride-1 form of col2im_slab, same result bit for bit: one output row
+// at a time, kSlabChunk columns per chunk held in registers, so no tap
+// re-reads a partially stored vector of the previous tap (the
+// store-forwarding stall that makes a tap-by-tap read-modify-write of the
+// row slow). Tap (ky, kx) feeds column ix from slab index ix + pad - kx
+// of its output row; lanes whose index falls outside [0, OW) load
+// neighbouring slab memory (the slab carries guard margins, see
+// conv_input_grad), discard it and add +0.0f instead — an exact no-op,
+// because the accumulator starts at +0.0f and a sum seeded that way is
+// never -0.0f, so x + 0.0f == x bit for bit. Contributions still land in
+// ascending (ky, kx) order.
+template <index_t KS>
+void col2im_slab_s1(const float* slab, index_t ld, const ConvGeom& g,
+                    index_t n0, index_t gn, const float* mask, float* gx) {
+  const index_t k = KS > 0 ? KS : g.k;
+  const index_t pad = g.pad, h = g.h, w = g.w, oh = g.oh, ow = g.ow;
+  for (index_t gi = 0; gi < gn; ++gi) {
+    for (index_t ci = 0; ci < g.c; ++ci) {
+      const float* taps = slab + ci * k * k * ld + gi * oh * ow;
+      for (index_t iy = 0; iy < h; ++iy) {
+        const index_t off = (((n0 + gi) * g.c + ci) * h + iy) * w;
+        for (index_t ix0 = 0; ix0 < w; ix0 += kSlabChunk) {
+          float acc[kSlabChunk];
+          for (index_t t = 0; t < kSlabChunk; ++t) acc[t] = 0.0f;
+          for (index_t ky = 0; ky < k; ++ky) {
+            const index_t y = iy + pad - ky;
+            if (y < 0 || y >= oh) continue;
+            for (index_t kx = 0; kx < k; ++kx) {
+              const index_t o = ix0 + pad - kx;
+              const float* src = taps + (ky * k + kx) * ld + y * ow + o;
+              const int t_lo = static_cast<int>(std::max<index_t>(0, -o));
+              const int t_hi =
+                  static_cast<int>(std::min<index_t>(kSlabChunk, ow - o));
+              QAVAT_SIMD
+              for (int t = 0; t < static_cast<int>(kSlabChunk); ++t) {
+                const float v = src[t];
+                acc[t] += (t >= t_lo && t < t_hi) ? v : 0.0f;
+              }
+            }
+          }
+          const index_t len = std::min<index_t>(kSlabChunk, w - ix0);
+          float* out = gx + off + ix0;
+          if (mask != nullptr) {
+            const float* m = mask + off + ix0;
+            for (index_t t = 0; t < len; ++t) out[t] = acc[t] * m[t];
+          } else {
+            for (index_t t = 0; t < len; ++t) out[t] = acc[t];
+          }
+        }
+      }
+    }
+  }
+}
+
+// gx = col2im(w^T * gy) * mask, owner-computes over groups of whole
+// images: per group, the group's gy blocks are copied side by side into a
+// contiguous {cout, gn*OH*OW} slab (rows of the shared gyt sit N*OH*OW
+// floats apart — a power of two for the 16x16 and 8x8 layers at batch
+// 32 — and would alias in L1), the TN GEMM slab
+// {ckk, gn*OH*OW} = w^T * that slab (each element an ascending-co chain
+// from 0.0f), then col2im_slab. Each thread keeps its two slabs
+// (thread_local: sized once per shape, no per-call allocation) and
+// writes only its own images.
+template <index_t KS>
+void conv_input_grad(const float* gy, const float* w, const ConvGeom& g,
+                     index_t cout, const float* mask, float* gx) {
+  const index_t ohw = g.oh * g.ow, ckk = g.ckk();
+  const index_t per = std::min(g.n, std::max<index_t>(
+                                        1, (kMinSlabCols + ohw - 1) / ohw));
+  const index_t groups = (g.n + per - 1) / per;
+  // Guard margins around the slab for col2im_slab_s1's out-of-row lanes,
+  // whose loads reach up to k floats before a tap row and k + kSlabChunk
+  // after it. The vector value-initializes, so every float read is
+  // initialized memory; the lanes discard what they load there.
+  const index_t guard = g.k + kSlabChunk;
+  auto run = [=, &g](index_t q0, index_t q1) {
+    thread_local std::vector<float> gslab, cslab;
+    if (gslab.size() < static_cast<std::size_t>(cout * per * ohw)) {
+      gslab.resize(static_cast<std::size_t>(cout * per * ohw));
+    }
+    if (cslab.size() < static_cast<std::size_t>(ckk * per * ohw + 2 * guard)) {
+      cslab.resize(static_cast<std::size_t>(ckk * per * ohw + 2 * guard));
+    }
+    float* pgs = gslab.data();
+    float* pcs = cslab.data() + guard;
+    for (index_t q = q0; q < q1; ++q) {
+      const index_t n0 = q * per, gn = std::min(per, g.n - n0);
+      const index_t ld = gn * ohw;
+      for (index_t gi = 0; gi < gn; ++gi) {
+        for (index_t co = 0; co < cout; ++co) {
+          std::memcpy(pgs + co * ld + gi * ohw,
+                      gy + ((n0 + gi) * cout + co) * ohw,
+                      static_cast<std::size_t>(ohw) * sizeof(float));
+        }
+      }
+      for (index_t i = 0; i < ckk; i += gemm::kRowBlock) {
+        const index_t rows = std::min(gemm::kRowBlock, ckk - i);
+        auto load_a = [w, ckk, i](index_t p, index_t r) {
+          return w[p * ckk + i + r];
+        };
+        for (index_t j0 = 0; j0 < ld; j0 += gemm::kJTile) {
+          const index_t jr = std::min(gemm::kJTile, ld - j0);
+          gemm::mul_band(load_a, pgs, ld, j0, pcs, i, rows, j0, jr, cout, ld);
+        }
+      }
+      if (g.stride == 1) {
+        col2im_slab_s1<KS>(pcs, ld, g, n0, gn, mask, gx);
+      } else {
+        col2im_slab<KS>(pcs, ld, g, n0, gn, mask, gx);
+      }
+    }
+  };
+  const index_t macs_per_group = ckk * cout * per * ohw;
+  if (ckk * cout * g.n * ohw < kSerialMacs) {
+    run(index_t{0}, groups);
+  } else {
+    parallel_for(index_t{0}, groups,
+                 std::max<index_t>(1, kMinMacsPerChunk / macs_per_group), run);
+  }
+}
+
+}  // namespace
+
+void conv2d_backward(const Tensor& gy, const Tensor& cols, const Tensor& w,
+                     const ConvGeom& g, const Tensor* x_mask, Tensor& gyt,
+                     Tensor& dw, float* bias_grad, Tensor* gx) {
+  const index_t cout = w.dim(0), ckk = g.ckk();
+  const index_t ohw = g.oh * g.ow, l = g.n * ohw;
+  if (gy.ndim() != 4 || gy.dim(0) != g.n || gy.dim(1) != cout ||
+      gy.dim(2) != g.oh || gy.dim(3) != g.ow || w.dim(1) != ckk ||
+      cols.size() != l * ckk) {
+    throw std::invalid_argument("conv2d_backward: operand shapes disagree");
+  }
+  // gyt {cout, L}: each image's {cout, OH*OW} block laid side by side, so
+  // one row holds a channel's gradient over every (image, position) in
+  // ascending order — contiguous runs, no transpose.
+  gyt.resize_for_overwrite({cout, l});
+  const float* pg = gy.data();
+  float* pt = gyt.data();
+  auto pack = [=](index_t r0, index_t r1) {
+    for (index_t r = r0; r < r1; ++r) {
+      const index_t ni = r / cout, co = r - ni * cout;
+      std::memcpy(pt + co * l + ni * ohw, pg + r * ohw,
+                  static_cast<std::size_t>(ohw) * sizeof(float));
+    }
+  };
+  if (cout * l < kSerialElems) {
+    pack(index_t{0}, g.n * cout);
+  } else {
+    parallel_for(index_t{0}, g.n * cout, grain_for(ohw), pack);
+  }
+  // Bias gradient: serial, each channel summed in ascending (image,
+  // position) order onto the caller's value; eight channels interleave
+  // so the add latency overlaps.
+  for (index_t co0 = 0; co0 < cout; co0 += 8) {
+    const index_t nc = std::min<index_t>(8, cout - co0);
+    float acc[8];
+    for (index_t c = 0; c < nc; ++c) acc[c] = bias_grad[co0 + c];
+    for (index_t j = 0; j < l; ++j) {
+      for (index_t c = 0; c < nc; ++c) acc[c] += pt[(co0 + c) * l + j];
+    }
+    for (index_t c = 0; c < nc; ++c) bias_grad[co0 + c] = acc[c];
+  }
+  dw.resize_for_overwrite({cout, ckk});
+  conv_weight_grad(pt, cols.data(), dw.data(), cout, l, ckk);
+  if (gx == nullptr) return;
+  gx->resize_for_overwrite({g.n, g.c, g.h, g.w});
+  const float* pm = nullptr;
+  if (x_mask != nullptr) {
+    if (x_mask->size() != gx->size()) {
+      throw std::invalid_argument("conv2d_backward: mask shape disagrees");
+    }
+    pm = x_mask->data();
+  }
+  switch (g.k) {
+    case 1: conv_input_grad<1>(pg, w.data(), g, cout, pm, gx->data()); break;
+    case 2: conv_input_grad<2>(pg, w.data(), g, cout, pm, gx->data()); break;
+    case 3: conv_input_grad<3>(pg, w.data(), g, cout, pm, gx->data()); break;
+    case 5: conv_input_grad<5>(pg, w.data(), g, cout, pm, gx->data()); break;
+    default: conv_input_grad<0>(pg, w.data(), g, cout, pm, gx->data()); break;
   }
 }
 

@@ -1,5 +1,6 @@
-// Convolution/pooling loop nests: im2col, col2im, max-pooling, and the
-// fused act-quantize + im2col gather used by the inference path. Following
+// Convolution/pooling loop nests: im2col, col2im, max-pooling, the fused
+// act-quantize + im2col gather used by the inference path, and the conv
+// backward (per-image weight and input gradients, DESIGN.md §8). Following
 // the Halide schedule/algorithm separation, this file owns the SCHEDULE
 // (threading grain, loop order, padding specialization) for the conv
 // pipeline, while the algorithms stay naive-loop-equivalent — the same
@@ -69,6 +70,28 @@ void im2col_quant(const Tensor& x, const ConvGeom& g, float scale,
 /// element of gx (resized to {g.n, g.c, g.h, g.w}); threaded over input
 /// rows, bit-identical for any thread count.
 void col2im(const Tensor& cols, const ConvGeom& g, Tensor& gx);
+
+/// Backward of a convolution lowered by im2col (QuantConv2d::backward).
+/// gy is the NCHW upstream gradient {g.n, cout, g.oh, g.ow}, cols the
+/// forward's im2col matrix {g.rows(), g.ckk()}, w the forward's
+/// effective weights {cout, g.ckk()}. Writes:
+///  * gyt (scratch, resized to {cout, g.n*g.oh*g.ow}): gy with each
+///    image's {cout, OH*OW} block laid side by side;
+///  * dw (resized to {cout, g.ckk()}): dW[co][j] = sum over (image,
+///    position) of gy * cols, ascending (image, position) from 0.0f —
+///    bit-identical to matmul_tn of the {N*OH*OW, cout} permuted gy with
+///    cols;
+///  * bias_grad[co] += the same gy values in the same order (accumulates
+///    onto the caller's {cout} buffer);
+///  * gx, unless null (resized to {g.n, g.c, g.h, g.w}): col2im of
+///    gy_perm * w times `x_mask` (if non-null; same shape as gx) —
+///    per element the ascending-co dot products summed in ascending
+///    (ky, kx), then masked, bit-identical to matmul + col2im + mask.
+/// Threaded (dW over output tiles, gx over whole images), bit-identical
+/// for any thread count. Throws std::invalid_argument on a shape mismatch.
+void conv2d_backward(const Tensor& gy, const Tensor& cols, const Tensor& w,
+                     const ConvGeom& g, const Tensor* x_mask, Tensor& gyt,
+                     Tensor& dw, float* bias_grad, Tensor* gx);
 
 /// Non-overlapping k x k max pooling over NCHW (floor semantics: trailing
 /// rows/cols that do not fill a window are dropped). `argmax` records the

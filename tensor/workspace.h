@@ -2,8 +2,8 @@
 //
 // A forward/backward pass through a quant model needs a handful of
 // transient buffers per layer (quantized activations, im2col matrices,
-// 2-D GEMM outputs, permuted gradients). Allocating them per call puts a
-// malloc + page-fault + zero-fill pass on every layer of every
+// 2-D GEMM outputs, channel-major gradients). Allocating them per call
+// puts a malloc + page-fault + zero-fill pass on every layer of every
 // Monte-Carlo chip and every training step; the arena instead hands out
 // persistently-sized buffers keyed by (owner, slot), so a steady-state
 // pipeline (same shapes every step) performs zero heap allocation after

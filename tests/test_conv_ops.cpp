@@ -19,6 +19,30 @@
 
 using namespace qavat;
 
+// Heap accounting for the steady-state test: every global new/delete in
+// this binary goes through these counters (the array and sized forms
+// forward here by default).
+namespace {
+std::atomic<long long> g_heap_allocs{0};  // operator new calls
+std::atomic<long long> g_heap_bytes{0};   // bytes requested from new
+std::atomic<long long> g_heap_live{0};    // allocations not yet freed
+}  // namespace
+
+void* operator new(std::size_t n) {
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) throw std::bad_alloc();
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_heap_bytes.fetch_add(static_cast<long long>(n), std::memory_order_relaxed);
+  g_heap_live.fetch_add(1, std::memory_order_relaxed);
+  return p;
+}
+void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  g_heap_live.fetch_sub(1, std::memory_order_relaxed);
+  std::free(p);
+}
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+
 namespace {
 
 bool bits_equal(const Tensor& a, const Tensor& b) {
@@ -251,6 +275,230 @@ void check_conv_layer_thread_identity(Rng& rng) {
   set_num_threads(saved);
 }
 
+// One conv layer configuration for the backward oracle checks.
+struct ConvCase {
+  index_t n, cin, cout, h, w, k, stride, pad;
+};
+
+struct ConvGrads {
+  Tensor gx, wg, bg;
+};
+
+// The layer for `c` with nonzero running gradients (as after earlier
+// variation samples of a step), so backward's accumulation onto them is
+// checked too.
+std::unique_ptr<QuantConv2d> make_case_conv(const ConvCase& c) {
+  Rng wrng(7);
+  auto conv = std::make_unique<QuantConv2d>(c.cin, c.cout, c.k, c.stride,
+                                            c.pad, 4, 2, wrng);
+  conv->refresh_weight_scale();
+  conv->act_quantizer().set_scale(0.2f);
+  conv->set_training(true);
+  conv->weight().ensure_grad();
+  fill_normal(conv->weight().grad, wrng);
+  conv->bias().ensure_grad();
+  fill_normal(conv->bias().grad, wrng);
+  return conv;
+}
+
+// The conv backward as it was before the per-image rewrite, composed
+// from the public kernels: permute gy to {N*OH*OW, cout}, a serial
+// ascending-row bias reduction, matmul_tn for the weight gradient,
+// matmul + col2im for the input gradient, then the STE masks — each
+// parameter gradient accumulated onto the layer's running value exactly
+// as the layer does. Uses the layer's post-forward state (weights,
+// weight scale, observed activation scale, running gradients), which is
+// what its own backward sees.
+ConvGrads oracle_conv_backward(QuantConv2d& conv, const ConvCase& c,
+                               const Tensor& x, const Tensor& gy) {
+  const ConvGeom g = geom_of(c.n, c.cin, c.h, c.w, c.k, c.stride, c.pad);
+  Tensor xq, xmask;
+  conv.act_quantizer().quantize(x, xq, &xmask);
+  Tensor weff, wmask;
+  quantize_dequantize(conv.weight().value, conv.weight_scale(),
+                      conv.weight_bits(), weff, &wmask);
+  Tensor cols;
+  im2col(xq, g, cols);
+  const index_t ohw = g.oh * g.ow, cout = c.cout;
+  Tensor gy2d({g.rows(), cout});
+  for (index_t r = 0; r < g.rows(); ++r) {
+    const index_t ni = r / ohw, pos = r % ohw;
+    for (index_t co = 0; co < cout; ++co) {
+      gy2d[r * cout + co] = gy[(ni * cout + co) * ohw + pos];
+    }
+  }
+  ConvGrads o;
+  o.bg = conv.bias().grad;
+  for (index_t r = 0; r < g.rows(); ++r) {
+    for (index_t co = 0; co < cout; ++co) o.bg[co] += gy2d[r * cout + co];
+  }
+  Tensor dw;
+  matmul_tn_into(gy2d, cols, dw);
+  o.wg = conv.weight().grad;
+  for (index_t i = 0; i < dw.size(); ++i) o.wg[i] += dw[i] * wmask[i];
+  Tensor dcols;
+  matmul_into(gy2d, weff, dcols);
+  col2im(dcols, g, o.gx);
+  for (index_t i = 0; i < o.gx.size(); ++i) o.gx[i] *= xmask[i];
+  return o;
+}
+
+// QuantConv2d::backward must be bit-equal to the oracle — weight, bias
+// and input gradients — at 1, 2 and 5 threads; with the input gradient
+// switched off (a model's first layer) it returns an empty tensor and
+// leaves the parameter gradients unchanged.
+void check_conv_backward_oracle(const ConvCase& c, std::uint64_t seed) {
+  const ConvGeom g = geom_of(c.n, c.cin, c.h, c.w, c.k, c.stride, c.pad);
+  Rng rng(seed);
+  Tensor x({c.n, c.cin, c.h, c.w});
+  fill_normal(x, rng);
+  Tensor gy({c.n, c.cout, g.oh, g.ow});
+  fill_normal(gy, rng);
+
+  auto ref_conv = make_case_conv(c);
+  ref_conv->forward(x);
+  const ConvGrads ref = oracle_conv_backward(*ref_conv, c, x, gy);
+
+  const index_t saved = num_threads();
+  for (index_t nt : {1, 2, 5}) {
+    set_num_threads(nt);
+    for (bool input_grad : {true, false}) {
+      auto conv = make_case_conv(c);
+      conv->set_input_grad(input_grad);
+      conv->forward(x);
+      const Tensor gx = conv->backward(gy);
+      bool ok = bits_equal(conv->weight().grad, ref.wg) &&
+                bits_equal(conv->bias().grad, ref.bg);
+      ok = ok && (input_grad ? bits_equal(gx, ref.gx) : gx.size() == 0);
+      if (!ok) {
+        std::printf("FAIL conv backward vs oracle: n%lld c%lld->%lld %lldx%lld "
+                    "k%lld s%lld p%lld threads %lld input_grad %d\n",
+                    c.n, c.cin, c.cout, c.h, c.w, c.k, c.stride, c.pad, nt,
+                    input_grad ? 1 : 0);
+        ++qavat::test::failures;
+      }
+    }
+  }
+  set_num_threads(saved);
+}
+
+void check_conv_backward_shapes() {
+  // Every conv layer of the three models (batch 8; the 16x16 ResNet block
+  // also at the training batch of 32): OH*OW from 16 to 256, fan-outs 8 to
+  // 32, the 1x1 projection, and shapes big enough to take the threaded
+  // weight- and input-gradient paths.
+  const ConvCase models[] = {
+      {8, 1, 8, 12, 12, 3, 1, 1},  {8, 8, 16, 6, 6, 3, 1, 1},     // lenet5s
+      {8, 3, 16, 16, 16, 3, 1, 1}, {8, 16, 32, 8, 8, 3, 1, 1},    // vgg11s
+      {8, 32, 32, 4, 4, 3, 1, 1},                                 //
+      {8, 16, 16, 16, 16, 3, 1, 1}, {32, 16, 16, 16, 16, 3, 1, 1},  // resnet18s
+      {8, 16, 32, 8, 8, 3, 1, 1},  {8, 32, 32, 8, 8, 3, 1, 1},    //
+      {8, 16, 32, 8, 8, 1, 1, 0},
+  };
+  std::uint64_t seed = 100;
+  int cases = 0;
+  for (const ConvCase& c : models) {
+    check_conv_backward_oracle(c, seed++);
+    ++cases;
+  }
+  // Odd shapes: every k in {1,2,3,5} x stride in {1,2,3} x pad in {0,1,2}
+  // on a small image (OH*OW below 64) and a larger non-square one (above
+  // 64 at stride 1), odd channel counts (ragged 4-row bands and 32-column
+  // tiles), plus one big enough to thread.
+  for (index_t k : {1, 2, 3, 5}) {
+    for (index_t stride : {1, 2, 3}) {
+      for (index_t pad : {0, 1, 2}) {
+        for (index_t side : {7, 19}) {
+          const ConvCase c{3, 3, 5, side, side - 2, k, stride, pad};
+          if (c.h + 2 * pad < k || c.w + 2 * pad < k) continue;
+          check_conv_backward_oracle(c, seed++);
+          ++cases;
+        }
+      }
+    }
+  }
+  check_conv_backward_oracle({6, 5, 13, 23, 21, 5, 1, 2}, seed++);
+  check_conv_backward_oracle({5, 7, 9, 11, 13, 2, 1, 0}, seed++);
+  cases += 2;
+  CHECK(cases == 10 + 72 + 2);
+}
+
+// A steady-state conv backward allocates nothing big but the gradient it
+// returns: its channel-major copy and weight gradient are workspace slots
+// and its per-thread slabs persist, so only small shape vectors and the
+// returned gx reach the heap (none of it when the input gradient is
+// skipped). At one thread, so every slab belongs to this thread.
+void check_conv_backward_allocation() {
+  const index_t saved = num_threads();
+  set_num_threads(1);
+  const ConvCase c{8, 16, 16, 16, 16, 3, 1, 1};
+  const ConvGeom g = geom_of(c.n, c.cin, c.h, c.w, c.k, c.stride, c.pad);
+  Rng rng(55);
+  Tensor x({c.n, c.cin, c.h, c.w});
+  fill_normal(x, rng);
+  Tensor gy({c.n, c.cout, g.oh, g.ow});
+  fill_normal(gy, rng);
+  for (bool input_grad : {true, false}) {
+    auto conv = make_case_conv(c);
+    conv->set_input_grad(input_grad);
+    conv->forward(x);
+    conv->backward(gy);  // warm-up: workspace slots and slabs sized
+    conv->forward(x);
+    const long long b0 = g_heap_bytes.load();
+    const Tensor gx = conv->backward(gy);
+    const long long bytes = g_heap_bytes.load() - b0;
+    const long long gx_bytes =
+        input_grad ? static_cast<long long>(x.size() * sizeof(float)) : 0;
+    CHECK(gx.size() == (input_grad ? x.size() : 0));
+    CHECK(bytes >= gx_bytes);
+    CHECK(bytes <= gx_bytes + 1024);
+  }
+  set_num_threads(saved);
+}
+
+// The first layer of every model skips its input gradient; that must
+// leave every parameter gradient bit-identical to a backward that
+// computes it.
+void check_first_layer_skip() {
+  for (ModelKind kind :
+       {ModelKind::kLeNet5s, ModelKind::kVGG11s, ModelKind::kResNet18s}) {
+    ModelConfig mcfg;
+    if (kind != ModelKind::kLeNet5s) {
+      mcfg.in_channels = 3;
+      mcfg.image_size = 16;
+    }
+    Rng rng(31);
+    Tensor x({8, mcfg.in_channels, mcfg.image_size, mcfg.image_size});
+    fill_normal(x, rng);
+    std::vector<index_t> labels(8);
+    for (auto& l : labels) l = rng.below(mcfg.num_classes);
+
+    auto grads = [&](bool skip) {
+      auto model = make_model(kind, mcfg);
+      std::vector<QuantLayerBase*> q = model->quant_layers();
+      CHECK(!q[0]->input_grad());
+      for (std::size_t i = 1; i < q.size(); ++i) CHECK(q[i]->input_grad());
+      if (!skip) q[0]->set_input_grad(true);
+      for (QuantLayerBase* l : q) l->refresh_weight_scale();
+      model->set_training(true);
+      model->zero_grad();
+      Tensor logits = model->forward(x);
+      Tensor g;
+      softmax_xent(logits, labels, &g, nullptr);
+      model->backward(g);
+      std::vector<Tensor> out;
+      for (Param* p : model->parameters()) out.push_back(p->grad);
+      return out;
+    };
+    const std::vector<Tensor> skipped = grads(true);
+    const std::vector<Tensor> full = grads(false);
+    CHECK(skipped.size() == full.size());
+    for (std::size_t i = 0; i < skipped.size() && i < full.size(); ++i) {
+      CHECK(bits_equal(skipped[i], full[i]));
+    }
+  }
+}
+
 // Batched Monte-Carlo evaluation: per-chip accuracies must be identical
 // for any thread count (and match the sequential chip loop, which
 // test_eval_batched already pins down).
@@ -285,16 +533,23 @@ void check_batched_eval_thread_identity() {
 }
 
 // Zero-alloc steady state: after the first forward/backward sized the
-// workspace, repeated same-shape passes must not grow it.
-void check_workspace_steady_state(Rng& rng) {
+// workspace (and the conv backward's per-thread slabs), repeated
+// same-shape passes must not grow it — and, at one thread (pool dormant,
+// so every allocation counted is the pipeline's own), must make the same
+// heap allocations every pass and leave none behind.
+void check_workspace_steady_state(ModelKind kind, Rng& rng) {
   ModelConfig mcfg;
-  auto model = make_model(ModelKind::kLeNet5s, mcfg);
+  if (kind != ModelKind::kLeNet5s) {
+    mcfg.in_channels = 3;
+    mcfg.image_size = 16;
+  }
+  auto model = make_model(kind, mcfg);
   for (QuantLayerBase* q : model->quant_layers()) {
     q->refresh_weight_scale();
     q->act_quantizer().set_scale(0.25f);
   }
   model->set_training(true);
-  Tensor x({8, 1, 12, 12});
+  Tensor x({8, mcfg.in_channels, mcfg.image_size, mcfg.image_size});
   fill_normal(x, rng);
   std::vector<index_t> labels(8, 3);
 
@@ -311,6 +566,23 @@ void check_workspace_steady_state(Rng& rng) {
   pass();
   pass();
   CHECK(model->workspace().retained_bytes() == warm);
+
+  // Heap: the per-pass allocation count and the live count are stable.
+  const index_t saved = num_threads();
+  set_num_threads(1);
+  pass();  // warm the calling thread's slabs at this budget
+  auto counted_pass = [&](long long* allocs, long long* live) {
+    const long long a0 = g_heap_allocs.load();
+    pass();
+    *allocs = g_heap_allocs.load() - a0;
+    *live = g_heap_live.load();
+  };
+  long long allocs1 = 0, live1 = 0, allocs2 = 0, live2 = 0;
+  counted_pass(&allocs1, &live1);
+  counted_pass(&allocs2, &live2);
+  CHECK(allocs1 == allocs2);
+  CHECK(live1 == live2);
+  set_num_threads(saved);
 
   // The QAVAT_WORKSPACE_MB cap is enforced by trim().
   model->workspace().trim(0);
@@ -358,8 +630,12 @@ int main() {
   check_fused_quant_gather(rng);
   check_maxpool(rng);
   check_conv_layer_thread_identity(rng);
+  check_conv_backward_shapes();
+  check_first_layer_skip();
+  check_conv_backward_allocation();
   check_batched_eval_thread_identity();
-  check_workspace_steady_state(rng);
+  check_workspace_steady_state(ModelKind::kLeNet5s, rng);
+  check_workspace_steady_state(ModelKind::kResNet18s, rng);
 
   return qavat::test::finish("test_conv_ops");
 }

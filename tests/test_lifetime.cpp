@@ -462,6 +462,19 @@ void test_lifetime_spec_rejection() {
                           "drift: expected an object");
   check_lifetime_rejected(swap("\"n_chips\":17", "\"n_chips\":\"many\""),
                           "n_chips: expected an integer");
+
+  // 10^5-deep nesting used to overflow the recursive parser's stack; the
+  // depth cap must reject it cleanly, naming the field.
+  const int depth = 100000;
+  std::string deep = "{\"drift\":";
+  for (int i = 1; i < depth; ++i) deep += "{\"x\":";
+  deep += "{}";
+  deep.append(static_cast<std::size_t>(depth - 1), '}');
+  deep += "," + good.substr(1);
+  std::string expect = "drift";
+  for (int i = 0; i < 31; ++i) expect += ".x";
+  expect += ": objects nested deeper than 32 levels";
+  check_lifetime_rejected(deep, expect.c_str());
 }
 
 void test_fleet_study_spec_json() {

@@ -357,6 +357,65 @@ void test_manifest_rejection() {
   }
 }
 
+// `depth` objects nested under `field` ({"field":{"x":{"x":...{}}}}),
+// spliced into `doc` just after its opening brace.
+std::string with_deep_field(const std::string& doc, const char* field,
+                            int depth) {
+  std::string nest = std::string("\"") + field + "\":";
+  nest.reserve(nest.size() + static_cast<std::size_t>(depth) * 7);
+  for (int i = 1; i < depth; ++i) nest += "{\"x\":";
+  nest += "{}";
+  nest.append(static_cast<std::size_t>(depth - 1), '}');
+  return "{" + nest + "," + doc.substr(1);
+}
+
+// 10^5-deep nesting used to overflow the recursive parser's stack
+// (SIGSEGV). The depth cap must turn it into a clean, field-named error —
+// for a bare spec, a spec inside a manifest, and a manifest loaded from
+// disk.
+void test_deep_nesting_rejected() {
+  const int depth = 100000;
+  const std::string spec_doc = distinctive_spec().to_json();
+  // The error names the path down to the first object past the cap: the
+  // root is level 1 and "train" level 2, so 31 "x" levels follow.
+  std::string path_31 = "train";
+  for (int i = 0; i < 31; ++i) path_31 += ".x";
+  check_rejected(with_deep_field(spec_doc, "train", depth),
+                 (path_31 + ": objects nested deeper than 32 levels").c_str());
+
+  SweepManifest good;
+  CHECK(builtin_manifest("sweep_sigma", &good));
+  std::string doc = good.to_json();
+  // to_json() puts one spec per line: "[\n{spec0},\n{spec1}...".
+  const std::size_t first = doc.find("[\n{");
+  CHECK(first != std::string::npos);
+  if (first == std::string::npos) return;
+  const std::size_t start = first + 2;
+  const std::size_t end = doc.find("},\n", start) + 1;
+  const std::string spec0 = doc.substr(start, end - start);
+  doc.replace(start, spec0.size(), with_deep_field(spec0, "eval", depth));
+  {
+    SweepManifest out;
+    std::string err;
+    CHECK(!SweepManifest::from_json(doc, &out, &err));
+    CHECK(err.find("specs[0]: eval.x.x") != std::string::npos);
+    CHECK(err.find("nested deeper than 32 levels") != std::string::npos);
+  }
+  const std::string path =
+      "test_scenario_json.deep." + std::to_string(::getpid()) + ".json";
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  CHECK(f != nullptr);
+  if (f == nullptr) return;
+  CHECK(std::fwrite(doc.data(), 1, doc.size(), f) == doc.size());
+  std::fclose(f);
+  SweepManifest loaded;
+  std::string err;
+  CHECK(!SweepManifest::load(path, &loaded, &err));
+  CHECK(err.find(path + ": specs[0]: eval.x.x") != std::string::npos);
+  CHECK(err.find("nested deeper than 32 levels") != std::string::npos);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 
 int main() {
@@ -365,5 +424,6 @@ int main() {
   test_manifest_roundtrip();
   test_manifest_sharding();
   test_manifest_rejection();
+  test_deep_nesting_rejected();
   return qavat::test::finish("test_scenario_json");
 }

@@ -6,10 +6,10 @@
 #include <cstring>
 #include <initializer_list>
 #include <map>
-#include <string>
 
 #include "eval/experiment.h"
 #include "pim/tiling.h"
+#include "tensor/json_depth.h"
 
 namespace qavat {
 
@@ -116,36 +116,12 @@ bool parse_string(const char*& p, std::string* out) {
   return true;
 }
 
-// Deepest object nesting parse_value accepts (the root object is level
-// 1; to_json() emits at most 3). Each level is one stack frame of the
-// recursive descent, so the cap turns a hostile deeply nested document
-// into a clean error instead of a stack overflow.
-constexpr int kMaxJsonDepth = 32;
-
-// The chain of keys from the root to the value being parsed, walked only
-// to name the field in a depth-limit error.
-struct JsonPath {
-  const JsonPath* parent;
-  const std::string* key;
-};
-
-std::string dotted(const JsonPath* path) {
-  std::string s;
-  for (; path != nullptr; path = path->parent) {
-    s = s.empty() ? *path->key : *path->key + "." + s;
-  }
-  return s.empty() ? "(root)" : s;
-}
-
 bool parse_value(const char*& p, Jv* out, std::string* err,
-                 const JsonPath* path = nullptr, int depth = 1) {
+                 const json_depth::Path* path = nullptr, int depth = 1) {
   skip_ws(p);
   if (*p == '{') {
-    if (depth > kMaxJsonDepth) {
-      if (err != nullptr && err->empty()) {
-        *err = dotted(path) + ": objects nested deeper than " +
-               std::to_string(kMaxJsonDepth) + " levels";
-      }
+    if (depth > json_depth::kMaxDepth) {
+      if (err != nullptr && err->empty()) *err = json_depth::too_deep(path);
       return false;
     }
     ++p;
@@ -163,7 +139,7 @@ bool parse_value(const char*& p, Jv* out, std::string* err,
       if (*p != ':') return false;
       ++p;
       Jv child;
-      const JsonPath child_path{path, &name};
+      const json_depth::Path child_path{path, &name};
       if (!parse_value(p, &child, err, &child_path, depth + 1)) return false;
       out->obj.emplace(std::move(name), std::move(child));
       skip_ws(p);

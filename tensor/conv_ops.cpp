@@ -218,23 +218,6 @@ constexpr index_t kKBlock = 256;
 // this are batched several images per slab so the TN GEMM runs
 // full-width column tiles instead of a ragged remainder per image.
 constexpr index_t kMinSlabCols = 128;
-// Output columns per register chunk of the stride-1 col2im.
-constexpr index_t kSlabChunk = 16;
-
-// One dW tile's contribution from one contraction block: C rows [i,
-// i+rows) x columns [j0, j0+jr) of dw (row stride n) += the gyt rows (row
-// stride l, block offset applied in a0) times the block b of cols; the
-// chain starts from 0.0f on the first block and continues from dw after.
-void dw_tile(const float* a0, index_t l, const float* b, index_t n, float* dw,
-             index_t i, index_t rows, index_t j0, index_t jr, index_t kb,
-             bool first) {
-  auto load_a = [a0, l](index_t p, index_t r) { return a0[r * l + p]; };
-  if (first) {
-    gemm::mul_band<false>(load_a, b, n, j0, dw, i, rows, j0, jr, kb, n);
-  } else {
-    gemm::mul_band<true>(load_a, b, n, j0, dw, i, rows, j0, jr, kb, n);
-  }
-}
 
 // dW {m, n} = gyt {m, L} * cols {L, n}, the contraction blocked into
 // kKBlock-row segments chained through dW with the Acc tile kernels:
@@ -242,26 +225,14 @@ void dw_tile(const float* a0, index_t l, const float* b, index_t n, float* dw,
 // exactly one unblocked pass. Threads split the output tiles (4 rows x
 // kJTile columns, column-tile-major so a chunk shares its cols slices);
 // within a chunk the contraction blocks go outermost.
-//
-// A ragged last column tile (n not a multiple of kJTile and not kJTile/2
-// — e.g. a stem layer's ckk of 9 or 27) would run the kernel with a
-// runtime width, whose accumulators cannot stay in registers. It runs
-// instead at the next fixed width (16 or 32) on a zero-padded copy of
-// its cols slice and a copy of its dW tile, then writes back the real
-// columns; the padding lanes are computed and dropped, and every real
-// element sees the same operations in the same order.
 void conv_weight_grad(const float* gyt, const float* cols, float* dw, index_t m,
                       index_t l, index_t n) {
   const index_t bands = (m + gemm::kRowBlock - 1) / gemm::kRowBlock;
   const index_t tiles = bands * ((n + gemm::kJTile - 1) / gemm::kJTile);
   auto run = [=](index_t t0, index_t t1) {
-    thread_local std::vector<float> bpack(
-        static_cast<std::size_t>(kKBlock * gemm::kJTile));
-    float ct[gemm::kRowBlock * gemm::kJTile];
     for (index_t p0 = 0; p0 < l; p0 += kKBlock) {
       const index_t kb = std::min(kKBlock, l - p0);
       const float* b = cols + p0 * n;
-      index_t packed_jt = -1;
       for (index_t t = t0; t < t1; ++t) {
         const index_t jt = t / bands;
         const index_t i = (t - jt * bands) * gemm::kRowBlock;
@@ -269,31 +240,11 @@ void conv_weight_grad(const float* gyt, const float* cols, float* dw, index_t m,
         const index_t j0 = jt * gemm::kJTile;
         const index_t jr = std::min(gemm::kJTile, n - j0);
         const float* a0 = gyt + i * l + p0;
-        if (jr == gemm::kJTile || jr == gemm::kJTile / 2) {
-          dw_tile(a0, l, b, n, dw, i, rows, j0, jr, kb, p0 == 0);
-          continue;
-        }
-        const index_t pw =
-            jr < gemm::kJTile / 2 ? gemm::kJTile / 2 : gemm::kJTile;
-        if (packed_jt != jt) {
-          for (index_t p = 0; p < kb; ++p) {
-            float* dst = bpack.data() + p * pw;
-            const float* src = b + p * n + j0;
-            for (index_t jj = 0; jj < pw; ++jj) {
-              dst[jj] = jj < jr ? src[jj] : 0.0f;
-            }
-          }
-          packed_jt = jt;
-        }
-        for (index_t r = 0; r < rows; ++r) {
-          for (index_t jj = 0; jj < pw; ++jj) {
-            ct[r * pw + jj] = jj < jr ? dw[(i + r) * n + j0 + jj] : 0.0f;
-          }
-        }
-        dw_tile(a0, l, bpack.data(), pw, ct, 0, rows, 0, pw, kb, p0 == 0);
-        for (index_t r = 0; r < rows; ++r) {
-          std::memcpy(dw + (i + r) * n + j0, ct + r * pw,
-                      static_cast<std::size_t>(jr) * sizeof(float));
+        auto load_a = [a0, l](index_t p, index_t r) { return a0[r * l + p]; };
+        if (p0 == 0) {
+          gemm::mul_band<false>(load_a, b, n, j0, dw, i, rows, j0, jr, kb, n);
+        } else {
+          gemm::mul_band<true>(load_a, b, n, j0, dw, i, rows, j0, jr, kb, n);
         }
       }
     }
@@ -367,101 +318,28 @@ void col2im_slab(const float* slab, index_t ld, const ConvGeom& g, index_t n0,
   }
 }
 
-// Stride-1 form of col2im_slab, same result bit for bit: one output row
-// at a time, kSlabChunk columns per chunk held in registers, so no tap
-// re-reads a partially stored vector of the previous tap (the
-// store-forwarding stall that makes a tap-by-tap read-modify-write of the
-// row slow). Tap (ky, kx) feeds column ix from slab index ix + pad - kx
-// of its output row; lanes whose index falls outside [0, OW) load
-// neighbouring slab memory (the slab carries guard margins, see
-// conv_input_grad), discard it and add +0.0f instead — an exact no-op,
-// because the accumulator starts at +0.0f and a sum seeded that way is
-// never -0.0f, so x + 0.0f == x bit for bit. Contributions still land in
-// ascending (ky, kx) order.
-template <index_t KS>
-void col2im_slab_s1(const float* slab, index_t ld, const ConvGeom& g,
-                    index_t n0, index_t gn, const float* mask, float* gx) {
-  const index_t k = KS > 0 ? KS : g.k;
-  const index_t pad = g.pad, h = g.h, w = g.w, oh = g.oh, ow = g.ow;
-  for (index_t gi = 0; gi < gn; ++gi) {
-    for (index_t ci = 0; ci < g.c; ++ci) {
-      const float* taps = slab + ci * k * k * ld + gi * oh * ow;
-      for (index_t iy = 0; iy < h; ++iy) {
-        const index_t off = (((n0 + gi) * g.c + ci) * h + iy) * w;
-        for (index_t ix0 = 0; ix0 < w; ix0 += kSlabChunk) {
-          float acc[kSlabChunk];
-          for (index_t t = 0; t < kSlabChunk; ++t) acc[t] = 0.0f;
-          for (index_t ky = 0; ky < k; ++ky) {
-            const index_t y = iy + pad - ky;
-            if (y < 0 || y >= oh) continue;
-            for (index_t kx = 0; kx < k; ++kx) {
-              const index_t o = ix0 + pad - kx;
-              const float* src = taps + (ky * k + kx) * ld + y * ow + o;
-              const int t_lo = static_cast<int>(std::max<index_t>(0, -o));
-              const int t_hi =
-                  static_cast<int>(std::min<index_t>(kSlabChunk, ow - o));
-              QAVAT_SIMD
-              for (int t = 0; t < static_cast<int>(kSlabChunk); ++t) {
-                const float v = src[t];
-                acc[t] += (t >= t_lo && t < t_hi) ? v : 0.0f;
-              }
-            }
-          }
-          const index_t len = std::min<index_t>(kSlabChunk, w - ix0);
-          float* out = gx + off + ix0;
-          if (mask != nullptr) {
-            const float* m = mask + off + ix0;
-            for (index_t t = 0; t < len; ++t) out[t] = acc[t] * m[t];
-          } else {
-            for (index_t t = 0; t < len; ++t) out[t] = acc[t];
-          }
-        }
-      }
-    }
-  }
-}
-
 // gx = col2im(w^T * gy) * mask, owner-computes over groups of whole
-// images: per group, the group's gy blocks are copied side by side into a
-// contiguous {cout, gn*OH*OW} slab (rows of the shared gyt sit N*OH*OW
-// floats apart — a power of two for the 16x16 and 8x8 layers at batch
-// 32 — and would alias in L1), the TN GEMM slab
-// {ckk, gn*OH*OW} = w^T * that slab (each element an ascending-co chain
-// from 0.0f), then col2im_slab. Each thread keeps its two slabs
-// (thread_local: sized once per shape, no per-call allocation) and
-// writes only its own images.
+// images: per group, the TN GEMM slab {ckk, gn*OH*OW} = w^T * the
+// group's columns of gyt (each element an ascending-co chain from 0.0f),
+// then col2im_slab. Each thread keeps its slab (thread_local: sized once
+// per shape, no per-call allocation) and writes only its own images.
 template <index_t KS>
-void conv_input_grad(const float* gy, const float* w, const ConvGeom& g,
-                     index_t cout, const float* mask, float* gx) {
+void conv_input_grad(const float* gyt, index_t l, const float* w,
+                     const ConvGeom& g, index_t cout, const float* mask,
+                     float* gx) {
   const index_t ohw = g.oh * g.ow, ckk = g.ckk();
   const index_t per = std::min(g.n, std::max<index_t>(
                                         1, (kMinSlabCols + ohw - 1) / ohw));
   const index_t groups = (g.n + per - 1) / per;
-  // Guard margins around the slab for col2im_slab_s1's out-of-row lanes,
-  // whose loads reach up to k floats before a tap row and k + kSlabChunk
-  // after it. The vector value-initializes, so every float read is
-  // initialized memory; the lanes discard what they load there.
-  const index_t guard = g.k + kSlabChunk;
   auto run = [=, &g](index_t q0, index_t q1) {
-    thread_local std::vector<float> gslab, cslab;
-    if (gslab.size() < static_cast<std::size_t>(cout * per * ohw)) {
-      gslab.resize(static_cast<std::size_t>(cout * per * ohw));
+    thread_local std::vector<float> cslab;
+    if (cslab.size() < static_cast<std::size_t>(ckk * per * ohw)) {
+      cslab.resize(static_cast<std::size_t>(ckk * per * ohw));
     }
-    if (cslab.size() < static_cast<std::size_t>(ckk * per * ohw + 2 * guard)) {
-      cslab.resize(static_cast<std::size_t>(ckk * per * ohw + 2 * guard));
-    }
-    float* pgs = gslab.data();
-    float* pcs = cslab.data() + guard;
+    float* pcs = cslab.data();
     for (index_t q = q0; q < q1; ++q) {
       const index_t n0 = q * per, gn = std::min(per, g.n - n0);
       const index_t ld = gn * ohw;
-      for (index_t gi = 0; gi < gn; ++gi) {
-        for (index_t co = 0; co < cout; ++co) {
-          std::memcpy(pgs + co * ld + gi * ohw,
-                      gy + ((n0 + gi) * cout + co) * ohw,
-                      static_cast<std::size_t>(ohw) * sizeof(float));
-        }
-      }
       for (index_t i = 0; i < ckk; i += gemm::kRowBlock) {
         const index_t rows = std::min(gemm::kRowBlock, ckk - i);
         auto load_a = [w, ckk, i](index_t p, index_t r) {
@@ -469,14 +347,11 @@ void conv_input_grad(const float* gy, const float* w, const ConvGeom& g,
         };
         for (index_t j0 = 0; j0 < ld; j0 += gemm::kJTile) {
           const index_t jr = std::min(gemm::kJTile, ld - j0);
-          gemm::mul_band(load_a, pgs, ld, j0, pcs, i, rows, j0, jr, cout, ld);
+          gemm::mul_band(load_a, gyt, l, n0 * ohw + j0, pcs, i, rows, j0, jr,
+                         cout, ld);
         }
       }
-      if (g.stride == 1) {
-        col2im_slab_s1<KS>(pcs, ld, g, n0, gn, mask, gx);
-      } else {
-        col2im_slab<KS>(pcs, ld, g, n0, gn, mask, gx);
-      }
+      col2im_slab<KS>(pcs, ld, g, n0, gn, mask, gx);
     }
   };
   const index_t macs_per_group = ckk * cout * per * ohw;
@@ -541,12 +416,14 @@ void conv2d_backward(const Tensor& gy, const Tensor& cols, const Tensor& w,
     }
     pm = x_mask->data();
   }
+  const float* pw = w.data();
+  float* px = gx->data();
   switch (g.k) {
-    case 1: conv_input_grad<1>(pg, w.data(), g, cout, pm, gx->data()); break;
-    case 2: conv_input_grad<2>(pg, w.data(), g, cout, pm, gx->data()); break;
-    case 3: conv_input_grad<3>(pg, w.data(), g, cout, pm, gx->data()); break;
-    case 5: conv_input_grad<5>(pg, w.data(), g, cout, pm, gx->data()); break;
-    default: conv_input_grad<0>(pg, w.data(), g, cout, pm, gx->data()); break;
+    case 1: conv_input_grad<1>(pt, l, pw, g, cout, pm, px); break;
+    case 2: conv_input_grad<2>(pt, l, pw, g, cout, pm, px); break;
+    case 3: conv_input_grad<3>(pt, l, pw, g, cout, pm, px); break;
+    case 5: conv_input_grad<5>(pt, l, pw, g, cout, pm, px); break;
+    default: conv_input_grad<0>(pt, l, pw, g, cout, pm, px); break;
   }
 }
 

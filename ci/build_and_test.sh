@@ -58,6 +58,30 @@ if "${CXX:-c++}" -fsanitize=thread "${TSAN_PROBE}/probe.cc" \
 else
   echo "tsan: toolchain has no usable ThreadSanitizer runtime - skipped"
 fi
+
+# AddressSanitizer + UndefinedBehaviorSanitizer pass over the JSON
+# document decoders (tensor/json and its four callers), which read
+# untrusted manifests and study files. Same runtime probe as TSan; the
+# flags go through CMAKE_CXX_FLAGS / linker flags, no CMake option.
+ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-${REPO_ROOT}/build-asan}"
+ASAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined"
+if "${CXX:-c++}" ${ASAN_FLAGS} "${TSAN_PROBE}/probe.cc" \
+     -o "${TSAN_PROBE}/probe-asan" >/dev/null 2>&1 &&
+   "${TSAN_PROBE}/probe-asan"; then
+  echo "== asan+ubsan (Debug, JSON decoders) =="
+  cmake -B "${ASAN_BUILD_DIR}" -S "${REPO_ROOT}" -DCMAKE_BUILD_TYPE=Debug \
+        -DCMAKE_CXX_FLAGS="${ASAN_FLAGS}" \
+        -DCMAKE_EXE_LINKER_FLAGS="${ASAN_FLAGS}"
+  cmake --build "${ASAN_BUILD_DIR}" -j "${JOBS}" \
+        --target test_scenario_json test_lifetime fuzz_decoders
+  # Through ctest so each test runs with its registered environment
+  # (test_lifetime needs its private store).
+  (cd "${ASAN_BUILD_DIR}" && ctest --output-on-failure \
+     -R '^(test_scenario_json|test_lifetime|fuzz_decoders)$')
+  echo "asan+ubsan: OK (test_scenario_json test_lifetime fuzz_decoders)"
+else
+  echo "asan+ubsan: toolchain has no usable sanitizer runtime - skipped"
+fi
 rm -rf "${TSAN_PROBE}"
 trap - EXIT
 
@@ -70,7 +94,7 @@ trap - EXIT
 # docs fails the build via set -e.
 DOC_HEADERS=(pim/chip.h pim/tiling.h eval/evaluator.h eval/scenario.h
              eval/manifest.h eval/store.h eval/runner.h eval/fleet.h
-             tensor/workspace.h
+             tensor/workspace.h tensor/json.h
              tensor/conv_ops.h tensor/ops.h tensor/serialize.h
              tensor/int_ops.h tensor/thread_pool.h
              core/quant/int8_backend.h core/variability/lifetime.h)

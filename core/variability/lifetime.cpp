@@ -1,14 +1,9 @@
 #include "core/variability/lifetime.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <initializer_list>
-#include <map>
 
 #include "core/selftune/selftune.h"
-#include "tensor/json_depth.h"
+#include "tensor/json.h"
 
 namespace qavat {
 
@@ -23,23 +18,10 @@ constexpr double kPi = 3.14159265358979323846;
 constexpr std::uint64_t kInitStreamTag = 0x6c1fe97a73f8d2b5ULL;
 constexpr std::uint64_t kStepStreamStride = 0x9e3779b97f4a7c15ULL;
 
-// Canonical double formatting for keys: stable, short, no locale.
-std::string fmt_g(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
-}
-
-// Round-trip-exact double formatting for JSON.
-std::string fmt_exact(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-const char* variance_token(VarianceModel m) {
-  return m == VarianceModel::kWeightProportional ? "wp" : "lf";
-}
+using json::fmt_exact;
+using json::fmt_g;
+using json::kv;
+using json::lld;
 
 const char* policy_kind_token(RetunePolicyKind k) {
   switch (k) {
@@ -49,8 +31,6 @@ const char* policy_kind_token(RetunePolicyKind k) {
   }
   return "?";
 }
-
-std::string lld(index_t v) { return std::to_string(static_cast<long long>(v)); }
 
 std::string events_token(const DriftEvents& e) {
   if (!e.any()) return "none";
@@ -83,182 +63,6 @@ std::string policy_token(const RetunePolicy& p) {
   return "?";
 }
 
-// ---------------------------------------------------------------- JSON
-// Same minimal recursive-descent parser and typed-reader idiom as
-// eval/scenario.cpp. Duplicated here because core sits below eval in
-// the layer diagram and must not reach up for eval's (file-local)
-// helpers.
-
-void json_kv(std::string& out, const char* k, const std::string& v,
-             bool quote, bool last = false) {
-  out += '"';
-  out += k;
-  out += "\":";
-  if (quote) out += '"';
-  out += v;
-  if (quote) out += '"';
-  if (!last) out += ',';
-}
-
-struct Jv {
-  enum Kind { kBool, kNum, kStr, kObj } kind = kNum;
-  bool b = false;
-  std::string text;  // number text or string value
-  std::map<std::string, Jv> obj;
-
-  const Jv* find(const char* name) const {
-    auto it = obj.find(name);
-    return it == obj.end() ? nullptr : &it->second;
-  }
-  double num() const { return std::strtod(text.c_str(), nullptr); }
-  long long inum() const { return std::strtoll(text.c_str(), nullptr, 10); }
-};
-
-void skip_ws(const char*& p) {
-  while (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r') ++p;
-}
-
-bool parse_string(const char*& p, std::string* out) {
-  if (*p != '"') return false;
-  ++p;
-  out->clear();
-  while (*p != '\0' && *p != '"') {
-    if (*p == '\\') return false;  // to_json never emits escapes
-    out->push_back(*p++);
-  }
-  if (*p != '"') return false;
-  ++p;
-  return true;
-}
-
-bool parse_value(const char*& p, Jv* out, std::string* err,
-                 const json_depth::Path* path = nullptr, int depth = 1) {
-  skip_ws(p);
-  if (*p == '{') {
-    if (depth > json_depth::kMaxDepth) {
-      if (err != nullptr && err->empty()) *err = json_depth::too_deep(path);
-      return false;
-    }
-    ++p;
-    out->kind = Jv::kObj;
-    skip_ws(p);
-    if (*p == '}') {
-      ++p;
-      return true;
-    }
-    while (true) {
-      skip_ws(p);
-      std::string name;
-      if (!parse_string(p, &name)) return false;
-      skip_ws(p);
-      if (*p != ':') return false;
-      ++p;
-      Jv child;
-      const json_depth::Path child_path{path, &name};
-      if (!parse_value(p, &child, err, &child_path, depth + 1)) return false;
-      out->obj.emplace(std::move(name), std::move(child));
-      skip_ws(p);
-      if (*p == ',') {
-        ++p;
-        continue;
-      }
-      if (*p == '}') {
-        ++p;
-        return true;
-      }
-      return false;
-    }
-  }
-  if (*p == '"') {
-    out->kind = Jv::kStr;
-    return parse_string(p, &out->text);
-  }
-  if (std::strncmp(p, "true", 4) == 0) {
-    out->kind = Jv::kBool;
-    out->b = true;
-    p += 4;
-    return true;
-  }
-  if (std::strncmp(p, "false", 5) == 0) {
-    out->kind = Jv::kBool;
-    out->b = false;
-    p += 5;
-    return true;
-  }
-  const char* start = p;
-  while (*p == '-' || *p == '+' || *p == '.' || *p == 'e' || *p == 'E' ||
-         (*p >= '0' && *p <= '9')) {
-    ++p;
-  }
-  if (p == start) return false;
-  out->kind = Jv::kNum;
-  out->text.assign(start, static_cast<std::size_t>(p - start));
-  return true;
-}
-
-bool fail_field(std::string* err, const char* prefix, const char* name,
-                const std::string& what) {
-  if (err != nullptr && err->empty()) {
-    *err = std::string(prefix) + name + ": " + what;
-  }
-  return false;
-}
-
-bool read_num(const Jv& o, const char* name, double* dst, std::string* err,
-              const char* prefix = "") {
-  const Jv* v = o.find(name);
-  if (v == nullptr) return true;
-  if (v->kind != Jv::kNum) {
-    return fail_field(err, prefix, name, "expected a number");
-  }
-  *dst = v->num();
-  return true;
-}
-
-bool read_index(const Jv& o, const char* name, index_t* dst, std::string* err,
-                const char* prefix = "") {
-  const Jv* v = o.find(name);
-  if (v == nullptr) return true;
-  if (v->kind != Jv::kNum) {
-    return fail_field(err, prefix, name, "expected an integer");
-  }
-  *dst = static_cast<index_t>(v->inum());
-  return true;
-}
-
-bool read_u64(const Jv& o, const char* name, std::uint64_t* dst,
-              std::string* err, const char* prefix = "") {
-  const Jv* v = o.find(name);
-  if (v == nullptr) return true;
-  if (v->kind != Jv::kNum) {
-    return fail_field(err, prefix, name, "expected an integer");
-  }
-  *dst = static_cast<std::uint64_t>(
-      std::strtoull(v->text.c_str(), nullptr, 10));
-  return true;
-}
-
-template <typename E>
-bool read_enum(const Jv& o, const char* name,
-               std::initializer_list<const char*> tokens,
-               std::initializer_list<E> values, E* dst, std::string* err,
-               const char* prefix = "") {
-  const Jv* v = o.find(name);
-  if (v == nullptr) return true;
-  if (v->kind != Jv::kStr) {
-    return fail_field(err, prefix, name, "expected a string");
-  }
-  auto tok = tokens.begin();
-  auto val = values.begin();
-  for (; tok != tokens.end(); ++tok, ++val) {
-    if (v->text == *tok) {
-      *dst = *val;
-      return true;
-    }
-  }
-  return fail_field(err, prefix, name, "unknown token '" + v->text + "'");
-}
-
 }  // namespace
 
 std::string LifetimeSpec::key() const {
@@ -276,125 +80,95 @@ std::string LifetimeSpec::key() const {
 
 std::string LifetimeSpec::to_json() const {
   std::string o = "{";
-  json_kv(o, "lifetime_schema", std::to_string(kLifetimeSchemaVersion), false);
+  kv(o, "lifetime_schema", std::to_string(kLifetimeSchemaVersion), false);
   {
     std::string d = "{";
-    json_kv(d, "model", variance_token(drift.model), true);
-    json_kv(d, "sigma_w", fmt_exact(drift.sigma_w), false);
-    json_kv(d, "sigma_b", fmt_exact(drift.sigma_b), false);
-    json_kv(d, "tau", fmt_exact(drift.tau), false, true);
+    kv(d, "model", variance_token(drift.model), true);
+    kv(d, "sigma_w", fmt_exact(drift.sigma_w), false);
+    kv(d, "sigma_b", fmt_exact(drift.sigma_b), false);
+    kv(d, "tau", fmt_exact(drift.tau), false, true);
     d += '}';
-    json_kv(o, "drift", d, false);
+    kv(o, "drift", d, false);
   }
   {
     std::string e = "{";
-    json_kv(e, "aging_rate", fmt_exact(events.aging_rate), false);
-    json_kv(e, "thermal_amp", fmt_exact(events.thermal_amp), false);
-    json_kv(e, "thermal_period", fmt_exact(events.thermal_period), false);
-    json_kv(e, "disturb_rate", fmt_exact(events.disturb_rate), false);
-    json_kv(e, "disturb_mag", fmt_exact(events.disturb_mag), false, true);
+    kv(e, "aging_rate", fmt_exact(events.aging_rate), false);
+    kv(e, "thermal_amp", fmt_exact(events.thermal_amp), false);
+    kv(e, "thermal_period", fmt_exact(events.thermal_period), false);
+    kv(e, "disturb_rate", fmt_exact(events.disturb_rate), false);
+    kv(e, "disturb_mag", fmt_exact(events.disturb_mag), false, true);
     e += '}';
-    json_kv(o, "events", e, false);
+    kv(o, "events", e, false);
   }
   {
     std::string p = "{";
-    json_kv(p, "kind", policy_kind_token(policy.kind), true);
-    json_kv(p, "interval", lld(policy.interval), false);
-    json_kv(p, "budget", fmt_exact(policy.budget), false);
-    json_kv(p, "probe_cells", lld(policy.probe_cells), false, true);
+    kv(p, "kind", policy_kind_token(policy.kind), true);
+    kv(p, "interval", lld(policy.interval), false);
+    kv(p, "budget", fmt_exact(policy.budget), false);
+    kv(p, "probe_cells", lld(policy.probe_cells), false, true);
     p += '}';
-    json_kv(o, "policy", p, false);
+    kv(o, "policy", p, false);
   }
-  json_kv(o, "gtm_cells", lld(gtm_cells), false);
-  json_kv(o, "n_chips", lld(n_chips), false);
-  json_kv(o, "n_steps", lld(n_steps), false);
-  json_kv(o, "checkpoint_every", lld(checkpoint_every), false);
-  json_kv(o, "batch_size", lld(batch_size), false);
-  json_kv(o, "seed", std::to_string(seed), false, true);
+  kv(o, "gtm_cells", lld(gtm_cells), false);
+  kv(o, "n_chips", lld(n_chips), false);
+  kv(o, "n_steps", lld(n_steps), false);
+  kv(o, "checkpoint_every", lld(checkpoint_every), false);
+  kv(o, "batch_size", lld(batch_size), false);
+  kv(o, "seed", std::to_string(seed), false, true);
   o += '}';
   return o;
 }
 
 bool LifetimeSpec::from_json(const std::string& text, LifetimeSpec* out,
                              std::string* error) {
-  if (error != nullptr) error->clear();
-  const char* p = text.c_str();
-  Jv root;
-  if (!parse_value(p, &root, error) || root.kind != Jv::kObj) {
-    if (error != nullptr && error->empty()) *error = "malformed JSON";
-    return false;
-  }
-  skip_ws(p);
-  if (*p != '\0') {
-    if (error != nullptr) *error = "malformed JSON (trailing characters)";
-    return false;
-  }
-  std::string* err = error;
+  std::string err;
+  json::Value root;
+  const bool ok = json::parse(text, &root, &err) && from_json(root, out, &err);
+  if (error != nullptr) *error = err;
+  return ok;
+}
 
+bool LifetimeSpec::from_json(const json::Value& root, LifetimeSpec* out,
+                             std::string* error) {
+  std::string err;
   LifetimeSpec s;
-  const Jv* schema = root.find("lifetime_schema");
-  if (schema == nullptr || schema->kind != Jv::kNum) {
-    return fail_field(err, "", "lifetime_schema", "missing or not a number");
-  }
-  if (schema->inum() != kLifetimeSchemaVersion) {
-    return fail_field(err, "", "lifetime_schema",
-                      "version mismatch: expected " +
-                          std::to_string(kLifetimeSchemaVersion) + ", got " +
-                          schema->text);
-  }
-  if (const Jv* d = root.find("drift")) {
-    if (d->kind != Jv::kObj) {
-      return fail_field(err, "", "drift", "expected an object");
-    }
-    if (!read_enum(*d, "model", {"wp", "lf"},
+  json::Fields f(root, &err);
+  f.schema("lifetime_schema", kLifetimeSchemaVersion);
+  f.object("drift")
+      .enumeration("model", {"wp", "lf"},
                    {VarianceModel::kWeightProportional,
                     VarianceModel::kLayerFixed},
-                   &s.drift.model, err, "drift.") ||
-        !read_num(*d, "sigma_w", &s.drift.sigma_w, err, "drift.") ||
-        !read_num(*d, "sigma_b", &s.drift.sigma_b, err, "drift.") ||
-        !read_num(*d, "tau", &s.drift.tau, err, "drift.")) {
-      return false;
-    }
-  }
-  if (const Jv* e = root.find("events")) {
-    if (e->kind != Jv::kObj) {
-      return fail_field(err, "", "events", "expected an object");
-    }
-    if (!read_num(*e, "aging_rate", &s.events.aging_rate, err, "events.") ||
-        !read_num(*e, "thermal_amp", &s.events.thermal_amp, err, "events.") ||
-        !read_num(*e, "thermal_period", &s.events.thermal_period, err,
-                  "events.") ||
-        !read_num(*e, "disturb_rate", &s.events.disturb_rate, err,
-                  "events.") ||
-        !read_num(*e, "disturb_mag", &s.events.disturb_mag, err, "events.")) {
-      return false;
-    }
-  }
-  if (const Jv* pl = root.find("policy")) {
-    if (pl->kind != Jv::kObj) {
-      return fail_field(err, "", "policy", "expected an object");
-    }
-    if (!read_enum(*pl, "kind", {"never", "fixed_interval", "threshold"},
+                   &s.drift.model)
+      .num("sigma_w", &s.drift.sigma_w)
+      .num("sigma_b", &s.drift.sigma_b)
+      .num("tau", &s.drift.tau)
+      .end();
+  f.object("events")
+      .num("aging_rate", &s.events.aging_rate)
+      .num("thermal_amp", &s.events.thermal_amp)
+      .num("thermal_period", &s.events.thermal_period)
+      .num("disturb_rate", &s.events.disturb_rate)
+      .num("disturb_mag", &s.events.disturb_mag)
+      .end();
+  f.object("policy")
+      .enumeration("kind", {"never", "fixed_interval", "threshold"},
                    {RetunePolicyKind::kNever, RetunePolicyKind::kFixedInterval,
                     RetunePolicyKind::kThreshold},
-                   &s.policy.kind, err, "policy.") ||
-        !read_index(*pl, "interval", &s.policy.interval, err, "policy.") ||
-        !read_num(*pl, "budget", &s.policy.budget, err, "policy.") ||
-        !read_index(*pl, "probe_cells", &s.policy.probe_cells, err,
-                    "policy.")) {
-      return false;
-    }
-  }
-  if (!read_index(root, "gtm_cells", &s.gtm_cells, err) ||
-      !read_index(root, "n_chips", &s.n_chips, err) ||
-      !read_index(root, "n_steps", &s.n_steps, err) ||
-      !read_index(root, "checkpoint_every", &s.checkpoint_every, err) ||
-      !read_index(root, "batch_size", &s.batch_size, err) ||
-      !read_u64(root, "seed", &s.seed, err)) {
-    return false;
-  }
-  *out = s;
-  return true;
+                   &s.policy.kind)
+      .index("interval", &s.policy.interval)
+      .num("budget", &s.policy.budget)
+      .index("probe_cells", &s.policy.probe_cells)
+      .end();
+  f.index("gtm_cells", &s.gtm_cells)
+      .index("n_chips", &s.n_chips)
+      .index("n_steps", &s.n_steps)
+      .index("checkpoint_every", &s.checkpoint_every)
+      .index("batch_size", &s.batch_size)
+      .u64("seed", &s.seed);
+  const bool ok = f.end();
+  if (ok) *out = s;
+  if (error != nullptr) *error = err;
+  return ok;
 }
 
 // ------------------------------------------------------------- model

@@ -27,6 +27,7 @@
 #include <string>
 
 #include "core/variability/drift.h"
+#include "tensor/json.h"
 
 namespace qavat {
 
@@ -100,11 +101,18 @@ struct LifetimeSpec {
   /// Lossless JSON encoding (doubles at round-trip precision).
   std::string to_json() const;
 
-  /// Parse a to_json() document. Returns false — leaving *out untouched
-  /// — on malformed JSON, an unknown enum token or a schema mismatch;
-  /// absent optional fields keep their defaults. `*error` (optional)
-  /// names the offending field, e.g. "policy.budget: expected a number".
+  /// Parse a to_json() document (tensor/json.h). Returns false — leaving
+  /// *out untouched — on malformed JSON, an unknown field or enum token,
+  /// a number that is not a whole in-range value of the field's type or
+  /// a schema mismatch; absent optional fields keep their defaults.
+  /// `*error` (optional) names the offending field, e.g. "policy.budget:
+  /// expected a number".
   static bool from_json(const std::string& text, LifetimeSpec* out,
+                        std::string* error = nullptr);
+
+  /// Decode an already parsed document (a fleet study's "lifetime");
+  /// same contract as the text overload.
+  static bool from_json(const json::Value& root, LifetimeSpec* out,
                         std::string* error = nullptr);
 };
 

@@ -22,6 +22,11 @@ inline const char* to_string(VarianceModel m) {
                                                  : "layer-fixed";
 }
 
+/// Short token ("wp" / "lf") the spec keys and JSON documents use.
+inline const char* variance_token(VarianceModel m) {
+  return m == VarianceModel::kWeightProportional ? "wp" : "lf";
+}
+
 struct VariabilityConfig {
   VarianceModel model = VarianceModel::kWeightProportional;
   double sigma_w = 0.0;  // within-chip (device-to-device) std

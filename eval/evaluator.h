@@ -20,8 +20,8 @@
 //    produces bit-identical per-chip accuracies. The circuit backend
 //    shares the same Rng(seed, c) chip identity, so both backends see
 //    the same per-chip eps_B realizations.
-//  * evaluate_under_drift — eps_B(t) follows an OU process; the GTM is
-//    re-measured every `remeasure_interval` steps (0 = factory-time only).
+//  * Drift over a deployment lifetime is the fleet layer's job
+//    (eval/fleet.h, DESIGN.md §16).
 //
 // Thread-safety: evaluation drives one model from one thread; kernels
 // parallelize internally (QAVAT_THREADS) with bit-identical results.
@@ -30,7 +30,6 @@
 #include "core/models/models.h"
 #include "core/selftune/selftune.h"
 #include "core/train/trainer.h"  // evaluate_clean lives at the train layer
-#include "core/variability/drift.h"
 #include "data/synth.h"
 
 namespace qavat {
@@ -112,26 +111,8 @@ EvalStats evaluate_under_variability(Module& model, const Dataset& test,
                                      const EvalConfig& ecfg,
                                      const SelfTuneConfig* st = nullptr);
 
-/// Temporal-drift evaluation protocol (footnote-2 extension).
-struct DriftEvalConfig {
-  index_t n_steps = 192;           ///< OU time steps evaluated
-  index_t batch_size = 50;         ///< test rows per step
-  index_t remeasure_interval = 0;  ///< steps between GTM re-measurements;
-                                   ///< 0 = factory calibration only
-  index_t gtm_cells = 1000;        ///< GTM cells per measurement
-  std::uint64_t seed = 2000;       ///< drift Monte-Carlo seed
-};
-
-/// Result of a drift evaluation.
-struct DriftStats {
-  double mean_acc = 0.0;        ///< accuracy averaged over all steps
-  double mean_abs_error = 0.0;  ///< mean |eps_hat - eps_B(t)| staleness
-};
-
-/// Accuracy under a drifting eps_B(t) (OU process, DriftConfig) with
-/// periodic GTM re-measurement.
-DriftStats evaluate_under_drift(Module& model, const Dataset& test,
-                                const DriftConfig& dcfg,
-                                const DriftEvalConfig& ecfg);
+/// Clear the sampled noise state of every quant layer of `model`, back
+/// to the clean forward.
+void clear_all_noise(Module& model);
 
 }  // namespace qavat

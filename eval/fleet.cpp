@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <stdexcept>
 
 #include "eval/store.h"
@@ -14,55 +13,6 @@
 namespace qavat {
 
 namespace {
-
-// ------------------------------------------------------------ spec JSON
-
-// Slice the top-level sub-object `"name":{...}` out of a study document
-// (brace counting with in-string tracking; escapes unsupported, exactly
-// like the manifest scanner — to_json never emits them). Returns false
-// when the name or a balanced object is not found.
-bool extract_object(const std::string& text, const char* name,
-                    std::string* out) {
-  const std::string needle = std::string("\"") + name + "\"";
-  std::size_t pos = text.find(needle);
-  if (pos == std::string::npos) return false;
-  pos += needle.size();
-  while (pos < text.size() &&
-         (text[pos] == ' ' || text[pos] == '\t' || text[pos] == '\n' ||
-          text[pos] == '\r')) {
-    ++pos;
-  }
-  if (pos >= text.size() || text[pos] != ':') return false;
-  ++pos;
-  while (pos < text.size() &&
-         (text[pos] == ' ' || text[pos] == '\t' || text[pos] == '\n' ||
-          text[pos] == '\r')) {
-    ++pos;
-  }
-  if (pos >= text.size() || text[pos] != '{') return false;
-  int depth = 0;
-  bool in_string = false;
-  for (std::size_t i = pos; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_string) {
-      if (c == '\\') return false;  // escapes unsupported
-      if (c == '"') in_string = false;
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{') {
-      ++depth;
-    } else if (c == '}') {
-      --depth;
-      if (depth == 0) {
-        out->assign(text, pos, i - pos + 1);
-        return true;
-      }
-    }
-  }
-  return false;
-}
 
 // ------------------------------------------------------- snapshot codec
 
@@ -87,47 +37,13 @@ struct ScalarCursor {
   }
 };
 
-// ------------------------------------------------------ claim-or-load
-
-// Same round-trip the read-through caches in eval/experiment.cpp run:
-// probe the artifact, try to claim production, back off while another
-// live process holds the lease; fall through to local compute when the
-// store is disabled or claims cannot exist (kUnavailable).
-struct ClaimWait {
-  StoreClaim claim;
-  bool loaded = false;
-};
-
-ClaimWait claim_or_load(const char* bucket, const std::string& key,
-                        const std::function<bool(StoreLoadOutcome*)>& probe) {
-  ClaimWait cw;
-  for (int attempt = 0;; ++attempt) {
-    StoreLoadOutcome outcome = StoreLoadOutcome::kMiss;
-    if (probe(&outcome)) {
-      cw.loaded = true;
-      return cw;
-    }
-    if (!store_enabled()) return cw;
-    StoreClaimStatus status = StoreClaimStatus::kBusy;
-    cw.claim = store_try_claim(bucket, key, &status);
-    if (cw.claim.held()) return cw;
-    if (status == StoreClaimStatus::kUnavailable) return cw;
-    store_claim_backoff_wait(attempt);
-  }
-}
-
 // --------------------------------------------------------- eval helpers
-
-void clear_all_noise(Module& model) {
-  for (QuantLayerBase* q : model.quant_layers()) q->noise_state().clear();
-}
 
 // Serial per-group prologue, the fleet variant of the evaluator's
 // prepare_noise_group: size the batched state and apply the
 // NoiseState-wide writes once per group. Unlike the Monte-Carlo path the
 // state is ALWAYS active — a pure-drift deployment (sigma_w == 0) still
-// carries the drifting eps_B through the (zeroed) eps planes, exactly as
-// evaluate_under_drift arranges for the scalar path.
+// carries the drifting eps_B through the (zeroed) eps planes.
 void prepare_fleet_group(std::vector<QuantLayerBase*>& qlayers,
                          const VariabilityConfig& within, index_t nb,
                          CorrectionKind correction) {
@@ -169,28 +85,37 @@ std::string FleetStudySpec::to_json() const {
          lifetime.to_json() + "}";
 }
 
+namespace {
+
+// Decode the required sub-document `name` of a study; errors carry the
+// "<name>: " prefix.
+template <typename Spec>
+bool read_part(json::Fields& f, const char* name, Spec* dst, std::string* err) {
+  const json::Value* v = f.get(name, json::Value::kObject);
+  if (!f.ok()) return false;
+  std::string sub_err;
+  if (v == nullptr) {
+    *err = std::string(name) + ": missing object";
+  } else if (!Spec::from_json(*v, dst, &sub_err)) {
+    *err = std::string(name) + ": " + sub_err;
+  }
+  return err->empty();
+}
+
+}  // namespace
+
 bool FleetStudySpec::from_json(const std::string& text, FleetStudySpec* out,
                                std::string* error) {
-  if (error != nullptr) error->clear();
-  std::string sub;
+  std::string err;
+  json::Value root;
   FleetStudySpec s;
-  if (!extract_object(text, "scenario", &sub)) {
-    if (error != nullptr) *error = "scenario: missing object";
-    return false;
+  if (json::parse(text, &root, &err)) {
+    json::Fields f(root, &err);
+    read_part(f, "scenario", &s.scenario, &err) &&
+        read_part(f, "lifetime", &s.lifetime, &err) && f.end();
   }
-  std::string sub_err;
-  if (!ScenarioSpec::from_json(sub, &s.scenario, &sub_err)) {
-    if (error != nullptr) *error = "scenario: " + sub_err;
-    return false;
-  }
-  if (!extract_object(text, "lifetime", &sub)) {
-    if (error != nullptr) *error = "lifetime: missing object";
-    return false;
-  }
-  if (!LifetimeSpec::from_json(sub, &s.lifetime, &sub_err)) {
-    if (error != nullptr) *error = "lifetime: " + sub_err;
-    return false;
-  }
+  if (error != nullptr) *error = err;
+  if (!err.empty()) return false;
   *out = s;
   return true;
 }

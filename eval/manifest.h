@@ -35,10 +35,10 @@ struct SweepManifest {
   std::string to_json() const;
 
   /// Parse a to_json() document. Returns false — leaving *out
-  /// untouched — on malformed JSON, a manifest-schema mismatch or any
-  /// invalid spec entry; `*error` (optional) then names the failure
-  /// down to the entry index and field, e.g. "specs[17]: train.lr:
-  /// expected a number".
+  /// untouched — on malformed JSON, a manifest-schema mismatch, an
+  /// unknown field or any invalid spec entry; `*error` (optional) then
+  /// names the failure down to the entry index and field, e.g.
+  /// "specs[17]: train.lr: expected a number".
   static bool from_json(const std::string& text, SweepManifest* out,
                         std::string* error = nullptr);
 

@@ -1,15 +1,9 @@
 #include "eval/scenario.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <initializer_list>
-#include <map>
 
 #include "eval/experiment.h"
 #include "pim/tiling.h"
-#include "tensor/json_depth.h"
 
 namespace qavat {
 
@@ -24,25 +18,15 @@ const char* to_string(ScenarioAlgo a) {
 
 namespace {
 
-// Canonical double formatting for keys: stable, short, no locale.
-std::string fmt_g(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
-}
-
-// Round-trip-exact double formatting for JSON.
-std::string fmt_exact(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+using json::fmt_exact;
+using json::fmt_g;
+using json::kv;
+using json::lld;
 
 std::string noise_token(const VariabilityConfig& v) {
   if (!v.enabled()) return "off";
-  std::string s = v.model == VarianceModel::kWeightProportional ? "wp" : "lf";
-  s += "w" + fmt_g(v.sigma_w) + "b" + fmt_g(v.sigma_b);
-  return s;
+  return std::string(variance_token(v.model)) + "w" + fmt_g(v.sigma_w) + "b" +
+         fmt_g(v.sigma_b);
 }
 
 const char* selftune_token(SelfTuneMode m) {
@@ -54,241 +38,24 @@ const char* selftune_token(SelfTuneMode m) {
   return "?";
 }
 
-const char* variance_token(VarianceModel m) {
-  return m == VarianceModel::kWeightProportional ? "wp" : "lf";
-}
-
-std::string lld(index_t v) { return std::to_string(static_cast<long long>(v)); }
-
-// ---------------------------------------------------------------- JSON
-
-void json_kv(std::string& out, const char* k, const std::string& v,
-             bool quote, bool last = false) {
-  out += '"';
-  out += k;
-  out += "\":";
-  if (quote) out += '"';
-  out += v;
-  if (quote) out += '"';
-  if (!last) out += ',';
-}
-
 std::string noise_json(const VariabilityConfig& v) {
   std::string o = "{";
-  json_kv(o, "model", variance_token(v.model), true);
-  json_kv(o, "sigma_w", fmt_exact(v.sigma_w), false);
-  json_kv(o, "sigma_b", fmt_exact(v.sigma_b), false, true);
+  kv(o, "model", variance_token(v.model), true);
+  kv(o, "sigma_w", fmt_exact(v.sigma_w), false);
+  kv(o, "sigma_b", fmt_exact(v.sigma_b), false, true);
   o += '}';
   return o;
 }
 
-// Minimal JSON value for the subset to_json() emits: objects, strings,
-// numbers, booleans. Numbers keep their source text so 64-bit integers
-// parse exactly (strtoll) instead of through a double.
-struct Jv {
-  enum Kind { kBool, kNum, kStr, kObj } kind = kNum;
-  bool b = false;
-  std::string text;  // number text or string value
-  std::map<std::string, Jv> obj;
-
-  const Jv* find(const char* name) const {
-    auto it = obj.find(name);
-    return it == obj.end() ? nullptr : &it->second;
-  }
-  double num() const { return std::strtod(text.c_str(), nullptr); }
-  long long inum() const { return std::strtoll(text.c_str(), nullptr, 10); }
-};
-
-void skip_ws(const char*& p) {
-  while (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r') ++p;
-}
-
-bool parse_string(const char*& p, std::string* out) {
-  if (*p != '"') return false;
-  ++p;
-  out->clear();
-  while (*p != '\0' && *p != '"') {
-    if (*p == '\\') return false;  // to_json never emits escapes
-    out->push_back(*p++);
-  }
-  if (*p != '"') return false;
-  ++p;
-  return true;
-}
-
-bool parse_value(const char*& p, Jv* out, std::string* err,
-                 const json_depth::Path* path = nullptr, int depth = 1) {
-  skip_ws(p);
-  if (*p == '{') {
-    if (depth > json_depth::kMaxDepth) {
-      if (err != nullptr && err->empty()) *err = json_depth::too_deep(path);
-      return false;
-    }
-    ++p;
-    out->kind = Jv::kObj;
-    skip_ws(p);
-    if (*p == '}') {
-      ++p;
-      return true;
-    }
-    while (true) {
-      skip_ws(p);
-      std::string name;
-      if (!parse_string(p, &name)) return false;
-      skip_ws(p);
-      if (*p != ':') return false;
-      ++p;
-      Jv child;
-      const json_depth::Path child_path{path, &name};
-      if (!parse_value(p, &child, err, &child_path, depth + 1)) return false;
-      out->obj.emplace(std::move(name), std::move(child));
-      skip_ws(p);
-      if (*p == ',') {
-        ++p;
-        continue;
-      }
-      if (*p == '}') {
-        ++p;
-        return true;
-      }
-      return false;
-    }
-  }
-  if (*p == '"') {
-    out->kind = Jv::kStr;
-    return parse_string(p, &out->text);
-  }
-  if (std::strncmp(p, "true", 4) == 0) {
-    out->kind = Jv::kBool;
-    out->b = true;
-    p += 4;
-    return true;
-  }
-  if (std::strncmp(p, "false", 5) == 0) {
-    out->kind = Jv::kBool;
-    out->b = false;
-    p += 5;
-    return true;
-  }
-  const char* start = p;
-  while (*p == '-' || *p == '+' || *p == '.' || *p == 'e' || *p == 'E' ||
-         (*p >= '0' && *p <= '9')) {
-    ++p;
-  }
-  if (p == start) return false;
-  out->kind = Jv::kNum;
-  out->text.assign(start, static_cast<std::size_t>(p - start));
-  return true;
-}
-
-// Error sink shared by every reader: record "<prefix><field>: <what>"
-// into *err (first failure wins — the callers chain with &&) and report
-// the failure.
-bool fail_field(std::string* err, const char* prefix, const char* name,
-                const std::string& what) {
-  if (err != nullptr && err->empty()) {
-    *err = std::string(prefix) + name + ": " + what;
-  }
-  return false;
-}
-
-// Typed field readers: each returns false on a present-but-wrong-typed
-// field (naming it via *err) and leaves the destination untouched when
-// the field is absent. `prefix` is the dotted path of the enclosing
-// object ("train.", "eval.", ...), purely for error messages.
-bool read_num(const Jv& o, const char* name, double* dst, std::string* err,
-              const char* prefix = "") {
-  const Jv* v = o.find(name);
-  if (v == nullptr) return true;
-  if (v->kind != Jv::kNum) {
-    return fail_field(err, prefix, name, "expected a number");
-  }
-  *dst = v->num();
-  return true;
-}
-
-bool read_index(const Jv& o, const char* name, index_t* dst, std::string* err,
-                const char* prefix = "") {
-  const Jv* v = o.find(name);
-  if (v == nullptr) return true;
-  if (v->kind != Jv::kNum) {
-    return fail_field(err, prefix, name, "expected an integer");
-  }
-  *dst = static_cast<index_t>(v->inum());
-  return true;
-}
-
-bool read_u64(const Jv& o, const char* name, std::uint64_t* dst,
-              std::string* err, const char* prefix = "") {
-  const Jv* v = o.find(name);
-  if (v == nullptr) return true;
-  if (v->kind != Jv::kNum) {
-    return fail_field(err, prefix, name, "expected an integer");
-  }
-  *dst = static_cast<std::uint64_t>(
-      std::strtoull(v->text.c_str(), nullptr, 10));
-  return true;
-}
-
-bool read_bool(const Jv& o, const char* name, bool* dst, std::string* err,
-               const char* prefix = "") {
-  const Jv* v = o.find(name);
-  if (v == nullptr) return true;
-  if (v->kind != Jv::kBool) {
-    return fail_field(err, prefix, name, "expected true or false");
-  }
-  *dst = v->b;
-  return true;
-}
-
-bool read_noise(const Jv& o, const char* name, VariabilityConfig* dst,
-                std::string* err, const char* prefix = "") {
-  const Jv* v = o.find(name);
-  if (v == nullptr) return true;
-  const std::string path = std::string(prefix) + name + ".";
-  if (v->kind != Jv::kObj) {
-    return fail_field(err, prefix, name, "expected an object");
-  }
-  const Jv* m = v->find("model");
-  if (m != nullptr) {
-    if (m->kind != Jv::kStr) {
-      return fail_field(err, path.c_str(), "model", "expected a string");
-    }
-    if (m->text == "wp") {
-      dst->model = VarianceModel::kWeightProportional;
-    } else if (m->text == "lf") {
-      dst->model = VarianceModel::kLayerFixed;
-    } else {
-      return fail_field(err, path.c_str(), "model",
-                        "unknown token '" + m->text + "'");
-    }
-  }
-  return read_num(*v, "sigma_w", &dst->sigma_w, err, path.c_str()) &&
-         read_num(*v, "sigma_b", &dst->sigma_b, err, path.c_str());
-}
-
-// Enum-token reader: `tokens`/`values` are parallel null-terminated
-// lists; an absent field keeps the default, an unknown token is named
-// in the error.
-template <typename E>
-bool read_enum(const Jv& o, const char* name,
-               std::initializer_list<const char*> tokens,
-               std::initializer_list<E> values, E* dst, std::string* err,
-               const char* prefix = "") {
-  const Jv* v = o.find(name);
-  if (v == nullptr) return true;
-  if (v->kind != Jv::kStr) {
-    return fail_field(err, prefix, name, "expected a string");
-  }
-  auto tok = tokens.begin();
-  auto val = values.begin();
-  for (; tok != tokens.end(); ++tok, ++val) {
-    if (v->text == *tok) {
-      *dst = *val;
-      return true;
-    }
-  }
-  return fail_field(err, prefix, name, "unknown token '" + v->text + "'");
+bool read_noise(json::Fields f, VariabilityConfig* dst) {
+  return f
+      .enumeration("model", {"wp", "lf"},
+                   {VarianceModel::kWeightProportional,
+                    VarianceModel::kLayerFixed},
+                   &dst->model)
+      .num("sigma_w", &dst->sigma_w)
+      .num("sigma_b", &dst->sigma_b)
+      .end();
 }
 
 }  // namespace
@@ -340,57 +107,57 @@ std::string ScenarioSpec::key() const {
 
 std::string ScenarioSpec::to_json() const {
   std::string o = "{";
-  json_kv(o, "schema", std::to_string(kScenarioSchemaVersion), false);
-  json_kv(o, "model", to_string(model), true);
-  json_kv(o, "algo", to_string(algo), true);
-  json_kv(o, "fast", fast ? "true" : "false", false);
+  kv(o, "schema", std::to_string(kScenarioSchemaVersion), false);
+  kv(o, "model", to_string(model), true);
+  kv(o, "algo", to_string(algo), true);
+  kv(o, "fast", fast ? "true" : "false", false);
   {
     std::string m = "{";
-    json_kv(m, "a_bits", lld(model_cfg.a_bits), false);
-    json_kv(m, "w_bits", lld(model_cfg.w_bits), false);
-    json_kv(m, "in_channels", lld(model_cfg.in_channels), false);
-    json_kv(m, "image_size", lld(model_cfg.image_size), false);
-    json_kv(m, "num_classes", lld(model_cfg.num_classes), false);
-    json_kv(m, "init_seed", std::to_string(model_cfg.init_seed), false, true);
+    kv(m, "a_bits", lld(model_cfg.a_bits), false);
+    kv(m, "w_bits", lld(model_cfg.w_bits), false);
+    kv(m, "in_channels", lld(model_cfg.in_channels), false);
+    kv(m, "image_size", lld(model_cfg.image_size), false);
+    kv(m, "num_classes", lld(model_cfg.num_classes), false);
+    kv(m, "init_seed", std::to_string(model_cfg.init_seed), false, true);
     m += '}';
-    json_kv(o, "model_cfg", m, false);
+    kv(o, "model_cfg", m, false);
   }
   {
     std::string t = "{";
-    json_kv(t, "epochs", lld(train.epochs), false);
-    json_kv(t, "lr", fmt_exact(train.lr), false);
-    json_kv(t, "batch_size", lld(train.batch_size), false);
-    json_kv(t, "n_variation_samples", lld(train.n_variation_samples), false);
-    json_kv(t, "reparam", train.reparam ? "true" : "false", false);
-    json_kv(t, "scale_update",
+    kv(t, "epochs", lld(train.epochs), false);
+    kv(t, "lr", fmt_exact(train.lr), false);
+    kv(t, "batch_size", lld(train.batch_size), false);
+    kv(t, "n_variation_samples", lld(train.n_variation_samples), false);
+    kv(t, "reparam", train.reparam ? "true" : "false", false);
+    kv(t, "scale_update",
             train.scale_update == ScaleUpdatePolicy::kPerEpoch ? "per_epoch"
                                                                : "init_only",
             true);
-    json_kv(t, "seed", std::to_string(train.seed), false);
-    json_kv(t, "noise", noise_json(train.train_noise), false, true);
+    kv(t, "seed", std::to_string(train.seed), false);
+    kv(t, "noise", noise_json(train.train_noise), false, true);
     t += '}';
-    json_kv(o, "train", t, false);
+    kv(o, "train", t, false);
   }
-  json_kv(o, "deploy", noise_json(deploy), false);
+  kv(o, "deploy", noise_json(deploy), false);
   {
     std::string s = "{";
-    json_kv(s, "mode", selftune_token(selftune.mode), true);
-    json_kv(s, "gtm_cells", lld(selftune.gtm_cells), false);
-    json_kv(s, "ltm_columns", lld(selftune.ltm_columns), false, true);
+    kv(s, "mode", selftune_token(selftune.mode), true);
+    kv(s, "gtm_cells", lld(selftune.gtm_cells), false);
+    kv(s, "ltm_columns", lld(selftune.ltm_columns), false, true);
     s += '}';
-    json_kv(o, "selftune", s, false);
+    kv(o, "selftune", s, false);
   }
   {
     std::string e = "{";
-    json_kv(e, "n_chips", lld(eval.n_chips), false);
-    json_kv(e, "max_test_samples", lld(eval.max_test_samples), false);
-    json_kv(e, "batch_size", lld(eval.batch_size), false);
-    json_kv(e, "seed", std::to_string(eval.seed), false);
-    json_kv(e, "chip_batch", lld(eval.chip_batch), false);
-    json_kv(e, "backend", to_string(eval.backend), true);
-    json_kv(e, "tile_size", lld(eval.tile_size), false, true);
+    kv(e, "n_chips", lld(eval.n_chips), false);
+    kv(e, "max_test_samples", lld(eval.max_test_samples), false);
+    kv(e, "batch_size", lld(eval.batch_size), false);
+    kv(e, "seed", std::to_string(eval.seed), false);
+    kv(e, "chip_batch", lld(eval.chip_batch), false);
+    kv(e, "backend", to_string(eval.backend), true);
+    kv(e, "tile_size", lld(eval.tile_size), false, true);
     e += '}';
-    json_kv(o, "eval", e, false, true);
+    kv(o, "eval", e, false, true);
   }
   o += '}';
   return o;
@@ -398,113 +165,73 @@ std::string ScenarioSpec::to_json() const {
 
 bool ScenarioSpec::from_json(const std::string& text, ScenarioSpec* out,
                              std::string* error) {
-  if (error != nullptr) error->clear();
-  const char* p = text.c_str();
-  Jv root;
-  if (!parse_value(p, &root, error) || root.kind != Jv::kObj) {
-    if (error != nullptr && error->empty()) *error = "malformed JSON";
-    return false;
-  }
-  skip_ws(p);
-  if (*p != '\0') {
-    if (error != nullptr) *error = "malformed JSON (trailing characters)";
-    return false;
-  }
-  std::string* err = error;
+  std::string err;
+  json::Value root;
+  const bool ok = json::parse(text, &root, &err) && from_json(root, out, &err);
+  if (error != nullptr) *error = err;
+  return ok;
+}
 
+bool ScenarioSpec::from_json(const json::Value& root, ScenarioSpec* out,
+                             std::string* error) {
+  std::string err;
   ScenarioSpec s;
-  const Jv* schema = root.find("schema");
-  if (schema == nullptr || schema->kind != Jv::kNum) {
-    return fail_field(err, "", "schema", "missing or not a number");
-  }
-  if (schema->inum() != kScenarioSchemaVersion) {
-    return fail_field(err, "", "schema",
-                      "version mismatch: expected " +
-                          std::to_string(kScenarioSchemaVersion) + ", got " +
-                          schema->text);
-  }
-  if (!read_enum(root, "model", {"lenet5s", "vgg11s", "resnet18s"},
-                 {ModelKind::kLeNet5s, ModelKind::kVGG11s,
-                  ModelKind::kResNet18s},
-                 &s.model, err) ||
-      !read_enum(root, "algo", {"PTQVAT", "QAT", "QAVAT"},
-                 {ScenarioAlgo::kPTQVAT, ScenarioAlgo::kQAT,
-                  ScenarioAlgo::kQAVAT},
-                 &s.algo, err) ||
-      !read_bool(root, "fast", &s.fast, err)) {
-    return false;
-  }
-  if (const Jv* m = root.find("model_cfg")) {
-    if (m->kind != Jv::kObj) {
-      return fail_field(err, "", "model_cfg", "expected an object");
-    }
-    if (!read_index(*m, "a_bits", &s.model_cfg.a_bits, err, "model_cfg.") ||
-        !read_index(*m, "w_bits", &s.model_cfg.w_bits, err, "model_cfg.") ||
-        !read_index(*m, "in_channels", &s.model_cfg.in_channels, err,
-                    "model_cfg.") ||
-        !read_index(*m, "image_size", &s.model_cfg.image_size, err,
-                    "model_cfg.") ||
-        !read_index(*m, "num_classes", &s.model_cfg.num_classes, err,
-                    "model_cfg.") ||
-        !read_u64(*m, "init_seed", &s.model_cfg.init_seed, err,
-                  "model_cfg.")) {
-      return false;
-    }
-  }
-  if (const Jv* t = root.find("train")) {
-    if (t->kind != Jv::kObj) {
-      return fail_field(err, "", "train", "expected an object");
-    }
-    if (!read_index(*t, "epochs", &s.train.epochs, err, "train.") ||
-        !read_num(*t, "lr", &s.train.lr, err, "train.") ||
-        !read_index(*t, "batch_size", &s.train.batch_size, err, "train.") ||
-        !read_index(*t, "n_variation_samples", &s.train.n_variation_samples,
-                    err, "train.") ||
-        !read_bool(*t, "reparam", &s.train.reparam, err, "train.") ||
-        !read_u64(*t, "seed", &s.train.seed, err, "train.") ||
-        !read_noise(*t, "noise", &s.train.train_noise, err, "train.") ||
-        !read_enum(*t, "scale_update", {"per_epoch", "init_only"},
-                   {ScaleUpdatePolicy::kPerEpoch, ScaleUpdatePolicy::kInitOnly},
-                   &s.train.scale_update, err, "train.")) {
-      return false;
-    }
-  }
-  if (!read_noise(root, "deploy", &s.deploy, err)) return false;
-  if (const Jv* st = root.find("selftune")) {
-    if (st->kind != Jv::kObj) {
-      return fail_field(err, "", "selftune", "expected an object");
-    }
-    if (!read_enum(*st, "mode", {"none", "gtm", "gtmltm"},
+  json::Fields f(root, &err);
+  f.schema("schema", kScenarioSchemaVersion)
+      .enumeration("model", {"lenet5s", "vgg11s", "resnet18s"},
+                   {ModelKind::kLeNet5s, ModelKind::kVGG11s,
+                    ModelKind::kResNet18s},
+                   &s.model)
+      .enumeration("algo", {"PTQVAT", "QAT", "QAVAT"},
+                   {ScenarioAlgo::kPTQVAT, ScenarioAlgo::kQAT,
+                    ScenarioAlgo::kQAVAT},
+                   &s.algo)
+      .boolean("fast", &s.fast);
+  f.object("model_cfg")
+      .index("a_bits", &s.model_cfg.a_bits)
+      .index("w_bits", &s.model_cfg.w_bits)
+      .index("in_channels", &s.model_cfg.in_channels)
+      .index("image_size", &s.model_cfg.image_size)
+      .index("num_classes", &s.model_cfg.num_classes)
+      .u64("init_seed", &s.model_cfg.init_seed)
+      .end();
+  json::Fields t = f.object("train");
+  t.index("epochs", &s.train.epochs)
+      .num("lr", &s.train.lr)
+      .index("batch_size", &s.train.batch_size)
+      .index("n_variation_samples", &s.train.n_variation_samples)
+      .boolean("reparam", &s.train.reparam)
+      .u64("seed", &s.train.seed);
+  read_noise(t.object("noise"), &s.train.train_noise);
+  t.enumeration("scale_update", {"per_epoch", "init_only"},
+                {ScaleUpdatePolicy::kPerEpoch, ScaleUpdatePolicy::kInitOnly},
+                &s.train.scale_update)
+      .end();
+  read_noise(f.object("deploy"), &s.deploy);
+  f.object("selftune")
+      .enumeration("mode", {"none", "gtm", "gtmltm"},
                    {SelfTuneMode::kNone, SelfTuneMode::kGtm,
                     SelfTuneMode::kGtmLtm},
-                   &s.selftune.mode, err, "selftune.") ||
-        !read_index(*st, "gtm_cells", &s.selftune.gtm_cells, err,
-                    "selftune.") ||
-        !read_index(*st, "ltm_columns", &s.selftune.ltm_columns, err,
-                    "selftune.")) {
-      return false;
-    }
-  }
-  if (const Jv* e = root.find("eval")) {
-    if (e->kind != Jv::kObj) {
-      return fail_field(err, "", "eval", "expected an object");
-    }
-    if (!read_index(*e, "n_chips", &s.eval.n_chips, err, "eval.") ||
-        !read_index(*e, "max_test_samples", &s.eval.max_test_samples, err,
-                    "eval.") ||
-        !read_index(*e, "batch_size", &s.eval.batch_size, err, "eval.") ||
-        !read_u64(*e, "seed", &s.eval.seed, err, "eval.") ||
-        !read_index(*e, "chip_batch", &s.eval.chip_batch, err, "eval.") ||
-        !read_index(*e, "tile_size", &s.eval.tile_size, err, "eval.") ||
-        !read_enum(*e, "backend", {"weight_domain", "circuit", "int8"},
+                   &s.selftune.mode)
+      .index("gtm_cells", &s.selftune.gtm_cells)
+      .index("ltm_columns", &s.selftune.ltm_columns)
+      .end();
+  f.object("eval")
+      .index("n_chips", &s.eval.n_chips)
+      .index("max_test_samples", &s.eval.max_test_samples)
+      .index("batch_size", &s.eval.batch_size)
+      .u64("seed", &s.eval.seed)
+      .index("chip_batch", &s.eval.chip_batch)
+      .index("tile_size", &s.eval.tile_size)
+      .enumeration("backend", {"weight_domain", "circuit", "int8"},
                    {EvalBackend::kWeightDomain, EvalBackend::kCircuit,
                     EvalBackend::kInt8},
-                   &s.eval.backend, err, "eval.")) {
-      return false;
-    }
-  }
-  *out = std::move(s);
-  return true;
+                   &s.eval.backend)
+      .end();
+  const bool ok = f.end();
+  if (ok) *out = std::move(s);
+  if (error != nullptr) *error = err;
+  return ok;
 }
 
 ScenarioSpec ScenarioSpec::base(ModelKind kind, index_t a_bits, index_t w_bits,

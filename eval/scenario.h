@@ -19,6 +19,7 @@
 #include "core/selftune/selftune.h"
 #include "core/train/trainer.h"
 #include "eval/evaluator.h"
+#include "tensor/json.h"
 
 namespace qavat {
 
@@ -62,13 +63,20 @@ struct ScenarioSpec {
   /// Lossless JSON encoding (doubles printed with round-trip precision).
   std::string to_json() const;
 
-  /// Parse a to_json() document. Returns false — leaving *out untouched —
-  /// on malformed JSON, an unknown enum token or a schema-version
-  /// mismatch. Absent optional fields keep their defaults. On failure
-  /// `*error` (optional) names the offending field and what was wrong
-  /// with it (e.g. "train.lr: expected a number", "algo: unknown token
-  /// 'QVT'"), so manifest validation can point at the exact field.
+  /// Parse a to_json() document (tensor/json.h). Returns false — leaving
+  /// *out untouched — on malformed JSON, an unknown field or enum token,
+  /// a number that is not a whole in-range value of the field's type or
+  /// a schema-version mismatch. Absent optional fields keep their
+  /// defaults. On failure `*error` (optional) names the offending field
+  /// and what was wrong with it (e.g. "train.lr: expected a number",
+  /// "algo: unknown token 'QVT'"), so manifest validation can point at
+  /// the exact field.
   static bool from_json(const std::string& text, ScenarioSpec* out,
+                        std::string* error = nullptr);
+
+  /// Decode an already parsed document (a manifest entry, a fleet
+  /// study's "scenario"); same contract as the text overload.
+  static bool from_json(const json::Value& root, ScenarioSpec* out,
                         std::string* error = nullptr);
 
   /// Workload defaults for (kind, bits, algo): default model/train/eval

@@ -27,6 +27,7 @@
 // points listed under StoreFault so the recovery paths are testable.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -210,6 +211,28 @@ class StoreClaim {
 /// computing locally.
 StoreClaim store_try_claim(const char* bucket, const std::string& key,
                            StoreClaimStatus* status = nullptr);
+
+/// Outcome of one claim_or_load() round trip.
+struct ClaimWait {
+  StoreClaim claim;          ///< held: this process produces the unit
+  bool loaded = false;       ///< another producer published it; nothing
+                             ///< to compute
+  bool saw_corrupt = false;  ///< some probe hit a corrupt (now
+                             ///< quarantined) artifact, so a recompute
+                             ///< counts as a retrain-after-corruption
+};
+
+/// The claim-or-load loop every read-through cache shares: probe the
+/// artifact (`probe` returns true on a valid hit and reports the load
+/// outcome), else try to claim the right to produce it, backing off with
+/// store_claim_backoff_wait() while another live process holds the
+/// lease (kBusy). Returns `loaded`, or not loaded with either the claim
+/// held or the store disabled or claim-less (kUnavailable: read-only
+/// root, EACCES, persistent ENOSPC) — in all of which the caller
+/// computes the unit itself, so it never blocks on a store that cannot
+/// deliver.
+ClaimWait claim_or_load(const char* bucket, const std::string& key,
+                        const std::function<bool(StoreLoadOutcome*)>& probe);
 
 /// Sleep for the waiter backoff of round `attempt`: exponential
 /// (QAVAT_CLAIM_BACKOFF_MS base, default 25 ms, doubling per round,

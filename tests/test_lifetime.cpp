@@ -462,6 +462,21 @@ void test_lifetime_spec_rejection() {
                           "drift: expected an object");
   check_lifetime_rejected(swap("\"n_chips\":17", "\"n_chips\":\"many\""),
                           "n_chips: expected an integer");
+  for (const char* bad : {"1.9", "1e1", "--", "99999999999999999999"}) {
+    check_lifetime_rejected(
+        swap("\"n_chips\":17", std::string("\"n_chips\":") + bad),
+        "n_chips: expected an integer");
+  }
+  check_lifetime_rejected(swap("\"budget\":0.0625", "\"budget\":1.2.3"),
+                          "policy.budget: expected a number");
+  check_lifetime_rejected(swap("\"seed\":18364758544493064720", "\"seed\":-1"),
+                          "seed: expected an unsigned integer");
+  check_lifetime_rejected(swap("\"probe_cells\":", "\"probe_cell\":"),
+                          "unknown field 'policy.probe_cell'");
+  check_lifetime_rejected(swap("\"n_chips\":", "\"n_chip\":"),
+                          "unknown field 'n_chip'");
+  check_lifetime_rejected(swap("\"tau\":", "\"tau\":1,\"tau\":"),
+                          "drift.tau: duplicate key");
 
   // 10^5-deep nesting used to overflow the recursive parser's stack; the
   // depth cap must reject it cleanly, naming the field.
@@ -515,6 +530,15 @@ void test_fleet_study_spec_json() {
               "\"kind\":\"sometimes\"");
   CHECK(!FleetStudySpec::from_json(bad, &out, &err));
   CHECK(err.find("lifetime: policy.kind: unknown token") != std::string::npos);
+  // A study document is exactly one object holding scenario and lifetime.
+  const std::string study = good.to_json();
+  CHECK(!FleetStudySpec::from_json(study + "x", &out, &err));
+  CHECK(err.find("trailing characters") != std::string::npos);
+  CHECK(!FleetStudySpec::from_json(
+      study.substr(0, study.size() - 1) + ",\"extra\":[1]}", &out, &err));
+  CHECK(err.find("unknown field 'extra'") != std::string::npos);
+  CHECK(!FleetStudySpec::from_json("[" + study + "]", &out, &err));
+  CHECK(err.find("malformed JSON") != std::string::npos);
 }
 
 // -------------------------------------------------------- snapshot codec

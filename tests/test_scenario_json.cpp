@@ -234,6 +234,29 @@ void test_rejection() {
                  "eval.n_chips: expected an integer");
   check_rejected(swap("\"model_cfg\":{", "\"model_cfg\":true,\"x\":{"),
                  "model_cfg: expected an object");
+
+  // Numbers must be whole, in-range values of the field's type; unknown
+  // and duplicate fields are errors, never silently defaulted.
+  auto with_value = [&](const char* name, const std::string& to) {
+    std::string doc = good;
+    const std::string k = std::string("\"") + name + "\":";
+    const std::size_t pos = doc.find(k) + k.size();
+    doc.replace(pos, doc.find_first_of(",}", pos) - pos, to);
+    return doc;
+  };
+  for (const char* bad : {"1.9", "1e1", "--", "99999999999999999999"}) {
+    check_rejected(with_value("a_bits", bad),
+                   "model_cfg.a_bits: expected an integer");
+  }
+  check_rejected(with_value("lr", "1.2.3"), "train.lr: expected a number");
+  check_rejected(with_value("seed", "-1"),
+                 "train.seed: expected an unsigned integer");
+  check_rejected(swap("\"n_chips\":", "\"n_chip\":"),
+                 "unknown field 'eval.n_chip'");
+  check_rejected(swap("\"schema\":1,", "\"schema\":1,\"n_chip\":2,"),
+                 "unknown field 'n_chip'");
+  check_rejected(swap("\"lr\":", "\"lr\":0.5,\"lr\":"),
+                 "train.lr: duplicate key");
 }
 
 void test_manifest_roundtrip() {
@@ -339,6 +362,12 @@ void test_manifest_rejection() {
   rejected("{\"manifest_schema\":1,\"bogus\":1,\"specs\":[]}",
            "unknown manifest field 'bogus'");
   rejected(doc + "x", "trailing characters");
+  {
+    const std::size_t depth = 100000;
+    rejected("{\"manifest_schema\":1,\"specs\":" + std::string(depth, '[') +
+                 std::string(depth, ']') + "}",
+             "arrays nested deeper than 32 levels");
+  }
 
   // A bad entry is attributed by index and field: corrupt spec 2's algo.
   std::string bad = doc;

@@ -61,24 +61,27 @@ fi
 
 # AddressSanitizer + UndefinedBehaviorSanitizer pass over the JSON
 # document decoders (tensor/json and its four callers), which read
-# untrusted manifests and study files. Same runtime probe as TSan; the
-# flags go through CMAKE_CXX_FLAGS / linker flags, no CMake option.
+# untrusted manifests and study files, and over the conv kernels
+# (test_conv_ops), whose fused forward and backward index raw pointers.
+# Same runtime probe as TSan; the flags go through CMAKE_CXX_FLAGS /
+# linker flags, no CMake option.
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-${REPO_ROOT}/build-asan}"
 ASAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined"
 if "${CXX:-c++}" ${ASAN_FLAGS} "${TSAN_PROBE}/probe.cc" \
      -o "${TSAN_PROBE}/probe-asan" >/dev/null 2>&1 &&
    "${TSAN_PROBE}/probe-asan"; then
-  echo "== asan+ubsan (Debug, JSON decoders) =="
+  echo "== asan+ubsan (Debug, JSON decoders + conv kernels) =="
   cmake -B "${ASAN_BUILD_DIR}" -S "${REPO_ROOT}" -DCMAKE_BUILD_TYPE=Debug \
         -DCMAKE_CXX_FLAGS="${ASAN_FLAGS}" \
         -DCMAKE_EXE_LINKER_FLAGS="${ASAN_FLAGS}"
   cmake --build "${ASAN_BUILD_DIR}" -j "${JOBS}" \
-        --target test_scenario_json test_lifetime fuzz_decoders
+        --target test_scenario_json test_lifetime fuzz_decoders test_conv_ops
   # Through ctest so each test runs with its registered environment
   # (test_lifetime needs its private store).
   (cd "${ASAN_BUILD_DIR}" && ctest --output-on-failure \
-     -R '^(test_scenario_json|test_lifetime|fuzz_decoders)$')
-  echo "asan+ubsan: OK (test_scenario_json test_lifetime fuzz_decoders)"
+     -R '^(test_scenario_json|test_lifetime|fuzz_decoders|test_conv_ops)$')
+  echo "asan+ubsan: OK (test_scenario_json test_lifetime fuzz_decoders" \
+       "test_conv_ops)"
 else
   echo "asan+ubsan: toolchain has no usable sanitizer runtime - skipped"
 fi

@@ -273,6 +273,21 @@ void QuantLayerBase::quantize_input(const Tensor& x, Tensor& out) {
   act_quant_.quantize(x, out, training_ ? &x_mask_ : nullptr);
 }
 
+float QuantLayerBase::correction_factor(index_t slot) const {
+  const bool batched = noise_.batch > 1;
+  const auto b = static_cast<std::size_t>(slot);
+  const float eps_hat = batched ? noise_.eps_hat_v[b] : noise_.eps_hat;
+  if (noise_.correction == CorrectionKind::kScale) {
+    float denom = 1.0f + eps_hat;
+    // An (unphysical) near-zero estimate would blow the correction up;
+    // clamp like a bounded-gain analog stage would.
+    if (std::fabs(denom) < 0.25f) denom = denom < 0.0f ? -0.25f : 0.25f;
+    return 1.0f / denom;
+  }
+  const float ltm_err = batched ? noise_.ltm_err_v[b] : noise_.ltm_err;
+  return eps_hat * noise_.wmax * (1.0f + ltm_err);
+}
+
 void QuantLayerBase::apply_correction(Tensor& y2d,
                                       const std::vector<float>& row_sums) const {
   if (noise_.correction == CorrectionKind::kNone) return;
@@ -281,23 +296,14 @@ void QuantLayerBase::apply_correction(Tensor& y2d,
   const index_t rows_per = nb > 1 ? rows / nb : rows;  // rows per chip slot
   float* y = y2d.data();
   for (index_t b = 0; b < (nb > 1 ? nb : 1); ++b) {
-    const float eps_hat =
-        nb > 1 ? noise_.eps_hat_v[static_cast<std::size_t>(b)] : noise_.eps_hat;
-    const float ltm_err =
-        nb > 1 ? noise_.ltm_err_v[static_cast<std::size_t>(b)] : noise_.ltm_err;
+    const float factor = correction_factor(b);
     const index_t r0 = b * rows_per, r1 = r0 + rows_per;
     if (noise_.correction == CorrectionKind::kScale) {
-      float denom = 1.0f + eps_hat;
-      // An (unphysical) near-zero estimate would blow the correction up;
-      // clamp like a bounded-gain analog stage would.
-      if (std::fabs(denom) < 0.25f) denom = denom < 0.0f ? -0.25f : 0.25f;
-      const float g = 1.0f / denom;
-      scale(y + r0 * cols, (r1 - r0) * cols, g);
+      scale(y + r0 * cols, (r1 - r0) * cols, factor);
     } else {  // kOffset
       assert(static_cast<index_t>(row_sums.size()) == rows);
-      const float k = eps_hat * noise_.wmax * (1.0f + ltm_err);
       for (index_t r = r0; r < r1; ++r) {
-        const float off = k * row_sums[static_cast<std::size_t>(r)];
+        const float off = factor * row_sums[static_cast<std::size_t>(r)];
         float* row = y + r * cols;
         for (index_t c = 0; c < cols; ++c) row[c] -= off;
       }
@@ -434,20 +440,24 @@ Tensor QuantConv2d::forward(const Tensor& x) {
                       pad_,
                       oh,
                       ow};
+  // The tensor the gather reads, and the activation grid it applies on
+  // the way (0 = none).
+  const Tensor* src = &x;
+  float act_scale = 0.0f;
   if (training_) {
     // Training path: explicit quantize pass (observes activation ranges
     // and caches the STE mask for backward), then plain gather.
     Tensor& xq = ws_->acquire(this, kWsXq, x.shape());
     quantize_input(x, xq);
-    im2col(xq, geom, cols_);
+    src = &xq;
   } else if (quant_enabled_ && act_quant_.calibrated() &&
              !backend_takes_raw()) {
-    if (stride_ >= kernel_) {
+    if (stride_ >= kernel_ && analog_backend_ == nullptr) {
       // Non-overlapping windows: each input element is gathered at most
-      // once, so fusing the quantizer into the gather saves a whole
-      // tensor pass at no extra arithmetic. Bit-identical values.
-      im2col_quant(x, geom, act_quant_.scale(),
-                   unsigned_qmax(act_quant_.bits()), cols_);
+      // once, so fusing the quantizer into the forward's gather saves a
+      // whole tensor pass at no extra arithmetic. Bit-identical values.
+      // (The backend route gathers with plain im2col.)
+      act_scale = act_quant_.scale();
     } else {
       // Overlapping windows gather each element ~(k/stride)^2 times; the
       // fused form would re-round per window while a separate quantize
@@ -458,39 +468,60 @@ Tensor QuantConv2d::forward(const Tensor& x) {
       Tensor& xq = ws_->acquire(
           this, kWsXq, {geom.n, in_channels_, x.dim(2), x.dim(3)});
       quantize_forward_input(x, nb, shared, xq);
-      im2col(xq, geom, cols_);
+      src = &xq;
     }
-  } else {
-    // Identity quantizer, or a backend that re-derives the codes from raw
-    // activations (backend_takes_raw): gather straight from x.
-    im2col(x, geom, cols_);
   }
-  // The circuit backend owns the programmed weights; weff_ is unused.
-  if (analog_backend_ == nullptr) compute_effective_weight();
-  // Chip-major image groups stay chip-major in the im2col row order, so
-  // the grouped GEMM multiplies each chip's rows by its own weights (or
-  // broadcasts the shared block when the chip inputs are identical).
-  const index_t out_rows = shared ? nb * geom.rows() : geom.rows();
-  Tensor& y2d = ws_->acquire(this, kWsY2d, {out_rows, out_channels_});
-  analog_matmul_into(cols_, nb, shared, y2d);  // {N*OH*OW, cout}
-  // Permute {N*OH*OW, cout} -> {N, cout, OH, OW} and add the bias. Each
-  // (image, position) is written by exactly one thread: bit-identical for
-  // any thread count.
+  // Otherwise (identity quantizer, or a backend that re-derives the codes
+  // from raw activations — backend_takes_raw) the gather reads x as is.
   Tensor y;
-  y.resize_for_overwrite({n, out_channels_, oh, ow});
-  const index_t ohw = oh * ow;
-  const index_t cout = out_channels_;
-  const float* p2 = y2d.data();
-  const float* pb = bias_.value.data();
-  float* py = y.data();
-  parallel_for_elems(n * ohw, [=](index_t r0, index_t r1) {
-    for (index_t r = r0; r < r1; ++r) {
-      const index_t ni = r / ohw, pos = r - ni * ohw;
-      const float* src = p2 + r * cout;
-      float* dst = py + ni * cout * ohw + pos;
-      for (index_t co = 0; co < cout; ++co) dst[co * ohw] = src[co] + pb[co];
+  if (analog_backend_ == nullptr) {
+    // Weight-domain route: one fused pass from the input to NCHW y
+    // (tensor/conv_ops.h conv2d_forward); training keeps the gathered
+    // rows in cols_ for backward. Chip-major image groups stay chip-major
+    // in the position order, so each chip's rows meet its own weight
+    // block (or the shared block is gathered once for every chip).
+    compute_effective_weight();
+    ConvForward f;
+    f.act_scale = act_scale;
+    f.act_qmax = unsigned_qmax(act_quant_.bits());
+    f.groups = nb;
+    f.shared = shared;
+    f.bias = bias_.value.data();
+    if (noise_.active && noise_.correction != CorrectionKind::kNone) {
+      correction_factors_.clear();
+      for (index_t b = 0; b < nb; ++b) {
+        correction_factors_.push_back(correction_factor(b));
+      }
+      (noise_.correction == CorrectionKind::kScale ? f.gain : f.offset) =
+          correction_factors_.data();
     }
-  });
+    conv2d_forward(*src, geom, weff_, f, training_ ? &cols_ : nullptr, y);
+  } else {
+    // Backend route: the backend consumes im2col rows. Its output
+    // {N*OH*OW, cout} is permuted to {N, cout, OH, OW} plus the bias;
+    // each (image, position) is written by exactly one thread, so the
+    // result is bit-identical for any thread count.
+    im2col(*src, geom, cols_);
+    const index_t out_rows = shared ? nb * geom.rows() : geom.rows();
+    Tensor& y2d = ws_->acquire(this, kWsY2d, {out_rows, out_channels_});
+    analog_matmul_into(cols_, nb, shared, y2d);
+    y.resize_for_overwrite({n, out_channels_, oh, ow});
+    const index_t ohw = oh * ow;
+    const index_t cout = out_channels_;
+    const float* p2 = y2d.data();
+    const float* pb = bias_.value.data();
+    float* py = y.data();
+    parallel_for_elems(n * ohw, [=](index_t r0, index_t r1) {
+      for (index_t r = r0; r < r1; ++r) {
+        const index_t ni = r / ohw, pos = r - ni * ohw;
+        const float* src2d = p2 + r * cout;
+        float* dst = py + ni * cout * ohw + pos;
+        for (index_t co = 0; co < cout; ++co) {
+          dst[co * ohw] = src2d[co] + pb[co];
+        }
+      }
+    });
+  }
   last_macs_ = static_cast<double>(fan_in_ * out_channels_ * oh * ow);
   last_positions_ = static_cast<double>(oh * ow);
   return y;

@@ -228,7 +228,7 @@ class QuantLayerBase : public Layer {
   /// (this, slot), so layers never collide).
   enum WsSlot {
     kWsXq = 0,      // quantized input (training conv path)
-    kWsY2d = 1,     // 2-D analog output before the NCHW permute
+    kWsY2d = 1,     // 2-D backend output before the NCHW permute
     kWsGyt = 2,     // channel-major upstream gradient (conv backward)
     kWsDw = 3,      // grad wrt effective weight
     kWsBlock = 5,   // first chip block of a shared batched input
@@ -267,6 +267,11 @@ class QuantLayerBase : public Layer {
   /// buffer); allocation-free at steady shape.
   void analog_matmul_into(const Tensor& a2d, index_t nb, bool shared,
                           Tensor& y) const;
+  /// The active correction's factor for chip slot `slot` (the scalar
+  /// fields when the noise state is unbatched): the kScale gain
+  /// 1 / (1 + eps_hat), its denominator clamped to |.| >= 0.25, or the
+  /// kOffset coefficient eps_hat * wmax * (1 + ltm_err).
+  float correction_factor(index_t slot) const;
   /// Apply the active self-tuning correction to the 2-D analog output
   /// {rows, fan_out}; `row_sums` holds sum_j xq_j per row (LTM measurand).
   void apply_correction(Tensor& y2d, const std::vector<float>& row_sums) const;
@@ -289,6 +294,7 @@ class QuantLayerBase : public Layer {
   Tensor wq_base_;   // shared quantize-dequantize result for batched noise
   std::uint64_t weff_revision_ = ~std::uint64_t{0};  // NoiseState revision
                      // the batched weff_ was built from (cache key)
+  std::vector<float> correction_factors_;  // per chip slot, conv forward
   Tensor w_mask_;    // weight STE mask
   Tensor x_mask_;    // activation STE mask
   double last_macs_ = 0.0;
@@ -316,14 +322,17 @@ class QuantLinear : public QuantLayerBase {
 
 /// 2-D convolution over NCHW via im2col: weight {cout, cin*k*k}.
 ///
-/// Inference forwards fuse the activation quantizer into the im2col
-/// gather (tensor/conv_ops.h) — no intermediate quantized tensor — and
-/// all scratch (2-D GEMM output, channel-major gradients) lives in the
-/// workspace, so repeated same-shape calls are allocation-free. Backward
-/// runs tensor/conv_ops.h conv2d_backward (per-image channel-major
-/// weight and input gradients). `cols_` stays a member: it is the
-/// forward cache backward consumes, which the workspace lifetime
-/// contract excludes from its slots.
+/// The weight-domain forward is one fused pass (tensor/conv_ops.h
+/// conv2d_forward): gather, register-tile GEMM, self-tuning correction
+/// and bias, stored straight into NCHW. Training keeps the gathered rows
+/// in `cols_`; inference stores no im2col matrix and, for
+/// non-overlapping windows, quantizes inside the gather. An analog
+/// backend instead receives im2col rows and its output is permuted. All
+/// other scratch lives in the workspace, so repeated same-shape calls
+/// are allocation-free. Backward runs tensor/conv_ops.h conv2d_backward
+/// (per-image channel-major weight and input gradients). `cols_` stays
+/// a member: it is the forward cache backward consumes, which the
+/// workspace lifetime contract excludes from its slots.
 class QuantConv2d : public QuantLayerBase {
  public:
   QuantConv2d(index_t in_channels, index_t out_channels, index_t kernel,
@@ -339,6 +348,7 @@ class QuantConv2d : public QuantLayerBase {
   index_t in_channels_, out_channels_, kernel_, stride_, pad_;
   std::vector<index_t> x_shape_;
   Tensor cols_;  // im2col of the quantized input {N*OH*OW, cin*k*k}
+                 // (training and backend forwards)
 };
 
 }  // namespace qavat

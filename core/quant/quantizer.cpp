@@ -20,14 +20,23 @@ void quantize_dequantize(const Tensor& x, float scale, index_t bits, Tensor& out
     return;
   }
   const float inv = 1.0f / scale;
-  // Pure elementwise map: any thread partition is bit-identical.
+  // Pure elementwise map: any thread partition is bit-identical. Select
+  // form, the mask test hoisted out of the loop: no branch on the data.
+  auto code = [inv, qmax](float v, bool* inside) {
+    const float q = std::nearbyint(v * inv);
+    *inside = q >= -qmax && q <= qmax;
+    const float clamped = q < -qmax ? -qmax : qmax;
+    return *inside ? q : clamped;
+  };
   parallel_for_elems(x.size(), [=](index_t i0, index_t i1) {
-    for (index_t i = i0; i < i1; ++i) {
-      float q = std::nearbyint(px[i] * inv);
-      const bool inside = q >= -qmax && q <= qmax;
-      if (!inside) q = q < -qmax ? -qmax : qmax;
-      po[i] = q * scale;
-      if (pm != nullptr) pm[i] = inside ? 1.0f : 0.0f;
+    bool inside = false;
+    if (pm != nullptr) {
+      for (index_t i = i0; i < i1; ++i) {
+        po[i] = code(px[i], &inside) * scale;
+        pm[i] = inside ? 1.0f : 0.0f;
+      }
+    } else {
+      for (index_t i = i0; i < i1; ++i) po[i] = code(px[i], &inside) * scale;
     }
   });
 }
@@ -84,15 +93,25 @@ void ActQuantizer::quantize(const Tensor& x, Tensor& out, Tensor* ste_mask) cons
   const float qmax = static_cast<float>(unsigned_qmax(bits_));
   const float inv = 1.0f / scale_;
   const float s = scale_;
-  // Elementwise; the fused inference gather (tensor/conv_ops.h
-  // im2col_quant) must stay arithmetic-identical to this loop.
+  // Elementwise; the quantizing gather of the fused conv forward
+  // (tensor/conv_ops.cpp conv2d_forward) must stay arithmetic-identical
+  // to this loop. Select form, the mask test hoisted out of the loop: no
+  // branch on the data.
+  auto code = [inv, qmax](float v, bool* inside) {
+    const float q = std::nearbyint(v * inv);
+    *inside = q >= 0.0f && q <= qmax;
+    const float clamped = q < 0.0f ? 0.0f : qmax;
+    return *inside ? q : clamped;
+  };
   parallel_for_elems(x.size(), [=](index_t i0, index_t i1) {
-    for (index_t i = i0; i < i1; ++i) {
-      float q = std::nearbyint(px[i] * inv);
-      const bool inside = q >= 0.0f && q <= qmax;
-      if (!inside) q = q < 0.0f ? 0.0f : qmax;
-      po[i] = q * s;
-      if (pm != nullptr) pm[i] = inside ? 1.0f : 0.0f;
+    bool inside = false;
+    if (pm != nullptr) {
+      for (index_t i = i0; i < i1; ++i) {
+        po[i] = code(px[i], &inside) * s;
+        pm[i] = inside ? 1.0f : 0.0f;
+      }
+    } else {
+      for (index_t i = i0; i < i1; ++i) po[i] = code(px[i], &inside) * s;
     }
   });
 }

@@ -21,9 +21,19 @@ namespace {
 constexpr index_t kMinElemsPerChunk = index_t{1} << 15;
 constexpr index_t kSerialElems = index_t{1} << 17;
 
+// GEMM-shaped kernels (fused forward, conv backward) mirror the
+// tensor/ops.cpp grains: chunks carry at least kMinMacsPerChunk MACs and
+// problems below kSerialMacs never fork — pure functions of shape, so the
+// split never depends on the thread count.
+constexpr index_t kMinMacsPerChunk = index_t{1} << 19;
+constexpr index_t kSerialMacs = index_t{1} << 21;
+
 inline index_t grain_for(index_t per_item) {
   return std::max<index_t>(1, (kMinElemsPerChunk + per_item - 1) / per_item);
 }
+
+// Lanes moved per tap-run copy in the interior gather (kernel sides 2, 3).
+constexpr index_t kRunWidth = 4;
 
 // One im2col output row (one output position): gather the C*K*K window,
 // zero-padding out-of-image taps, applying `xf` to every in-image value.
@@ -41,6 +51,34 @@ inline void gather_row(const float* px, const ConvGeom& g, float* row,
   const index_t ix0 = xo * g.stride - g.pad;
   if (iy0 >= 0 && iy0 + k <= h && ix0 >= 0 && ix0 + k <= w) {
     const float* base = px + ni * c * h * w + iy0 * w + ix0;
+    // Offset of the row's last tap run in x.
+    const index_t last_run =
+        ((ni + 1) * c - 1) * h * w + (iy0 + k - 1) * w + ix0;
+    if (KS > 1 && KS < kRunWidth && last_run + kRunWidth <= g.n * c * h * w) {
+      // Each k-tap run moves as one kRunWidth-lane copy: its surplus lanes
+      // land in the next run's slots, which that run overwrites, and the
+      // row's last run is exact, so nothing past the row is written. The
+      // guard keeps the read-ahead inside the gathered images.
+      auto wide = [&xf](const float* s, float* d) {
+        float v[kRunWidth];
+        for (index_t j = 0; j < kRunWidth; ++j) v[j] = xf(s[j]);
+        for (index_t j = 0; j < kRunWidth; ++j) d[j] = v[j];
+      };
+      for (index_t ci = 0; ci < c; ++ci) {
+        const float* src = base + ci * h * w;
+        float* dst = row + ci * k * k;
+        for (index_t ky = 0; ky < k; ++ky) {
+          const float* s = src + ky * w;
+          float* d = dst + ky * k;
+          if (ci + 1 < c || ky + 1 < k) {
+            wide(s, d);
+          } else {
+            for (index_t kx = 0; kx < k; ++kx) d[kx] = xf(s[kx]);
+          }
+        }
+      }
+      return;
+    }
     for (index_t ci = 0; ci < c; ++ci) {
       const float* src = base + ci * h * w;
       float* dst = row + ci * k * k;
@@ -52,8 +90,10 @@ inline void gather_row(const float* px, const ConvGeom& g, float* row,
     }
     return;
   }
-  const index_t kx_lo = std::max<index_t>(0, -ix0);
-  const index_t kx_hi = std::min<index_t>(k, w - ix0);
+  // Clipped window: each tap selects the in-image value or the zero
+  // padding. The read index is clamped into the row, so no pointer ever
+  // leaves the image (ix0 can be negative, or past the row when pad >= k),
+  // and the unrolled taps carry no data-dependent branch.
   for (index_t ci = 0; ci < c; ++ci) {
     const float* plane = px + (ni * c + ci) * h * w;
     for (index_t ky = 0; ky < k; ++ky) {
@@ -63,13 +103,13 @@ inline void gather_row(const float* px, const ConvGeom& g, float* row,
         for (index_t kx = 0; kx < k; ++kx) dst[kx] = 0.0f;
         continue;
       }
-      // Index from the row base: ix0 can be negative, and forming
-      // `plane + iy*w + ix0` would be an out-of-bounds pointer (UB) even
-      // though only kx >= kx_lo is ever read.
       const float* srow = plane + iy * w;
-      for (index_t kx = 0; kx < kx_lo; ++kx) dst[kx] = 0.0f;
-      for (index_t kx = kx_lo; kx < kx_hi; ++kx) dst[kx] = xf(srow[ix0 + kx]);
-      for (index_t kx = kx_hi; kx < k; ++kx) dst[kx] = 0.0f;
+      for (index_t kx = 0; kx < k; ++kx) {
+        const index_t ix = ix0 + kx;
+        const bool in = ix >= 0 && ix < w;
+        const float v = xf(srow[in ? ix : 0]);
+        dst[kx] = in ? v : 0.0f;
+      }
     }
   }
 }
@@ -118,18 +158,200 @@ void im2col(const Tensor& x, const ConvGeom& g, Tensor& cols) {
   im2col_impl(x, g, cols, [](float v) { return v; });
 }
 
-void im2col_quant(const Tensor& x, const ConvGeom& g, float scale,
-                  index_t qmax, Tensor& cols) {
-  const float inv = 1.0f / scale;
-  const float qm = static_cast<float>(qmax);
-  // Same expression as ActQuantizer::quantize, applied per gathered
-  // element; zero-padding commutes (quantize(0) == 0).
-  im2col_impl(x, g, cols, [inv, scale, qm](float v) {
-    float q = std::nearbyint(v * inv);
-    const bool inside = q >= 0.0f && q <= qm;
-    if (!inside) q = q < 0.0f ? 0.0f : qm;
-    return q * scale;
-  });
+namespace {
+
+// Output positions per fused-forward block: the block's gathered rows
+// (kPosBlock * ckk floats) stay in L1 while every output-channel panel
+// and every chip slot reuses them.
+constexpr index_t kPosBlock = 8;
+
+// t {rc, jr} (row stride kJTile) = rows [0, rc) of the gathered block a
+// (row stride ckk) times one packed NT panel. Full blocks of 16- and
+// 32-wide panels run 8 x 16 tiles; short blocks and ragged panels run
+// the 4-row band kernels. Every path sums ascending p from 0.0f.
+inline void block_tile(const float* a, index_t ckk, index_t rc,
+                       const float* pk, index_t jr, float* t) {
+  auto load = [a, ckk](index_t p, index_t r) { return a[r * ckk + p]; };
+  constexpr index_t kHalf = gemm::kJTile / 2;
+  if (rc == kPosBlock && jr % kHalf == 0) {
+    for (index_t j0 = 0; j0 < jr; j0 += kHalf) {
+      gemm::mul_tile_r<kPosBlock, kHalf>(load, pk, gemm::kJTile, j0, t + j0,
+                                         gemm::kJTile, ckk);
+    }
+    return;
+  }
+  for (index_t i = 0; i < rc; i += gemm::kRowBlock) {
+    const float* ai = a + i * ckk;
+    auto load_i = [ai, ckk](index_t p, index_t r) { return ai[r * ckk + p]; };
+    gemm::mul_band(load_i, pk, gemm::kJTile, index_t{0}, t, i,
+                   std::min(gemm::kRowBlock, rc - i), index_t{0}, jr, ckk,
+                   gemm::kJTile);
+  }
+}
+
+// Fused conv forward over position blocks [b0, b1) (conv2d_forward). Per
+// block: gather its rows (into cols, or a per-thread L1 block), their
+// LTM row sums when an offset correction is on, then per chip slot and
+// output-channel panel one register-tile product, the correction and
+// the bias, stored straight into NCHW y. Each pass of the epilogue is a
+// separate loop over the tile buffer so no multiply is contracted into
+// the following add: per element the operations are exactly the old
+// GEMM chain, `*= gain`, `-= offset * rowsum` (the product rounded
+// first), `+ bias`.
+template <index_t KS, typename Xf>
+void conv_forward_sweep(const float* px, const ConvGeom& g, const Xf& xf,
+                        const float* pk, index_t cout, const ConvForward& f,
+                        float* cols, float* y) {
+  constexpr index_t kJ = gemm::kJTile;
+  const index_t ckk = g.ckk(), ohw = g.oh * g.ow;
+  const index_t npanels = (cout + kJ - 1) / kJ;
+  const index_t row_chips = f.shared ? 1 : f.groups;
+  const index_t rows_per = g.rows() / row_chips;
+  const index_t bpc = (rows_per + kPosBlock - 1) / kPosBlock;
+  const index_t blocks = row_chips * bpc;
+  auto run = [&, px, pk, cols, y](index_t b0, index_t b1) {
+    thread_local std::vector<float> scratch;
+    if (cols == nullptr &&
+        scratch.size() < static_cast<std::size_t>(kPosBlock * ckk)) {
+      scratch.resize(static_cast<std::size_t>(kPosBlock * ckk));
+    }
+    float t[kPosBlock * kJ];
+    float rsum[kPosBlock], off[kPosBlock];
+    float* dst[kPosBlock];
+    for (index_t blk = b0; blk < b1; ++blk) {
+      const index_t chip = blk / bpc;
+      const index_t r0 = chip * rows_per + (blk - chip * bpc) * kPosBlock;
+      const index_t rc = std::min(kPosBlock, (chip + 1) * rows_per - r0);
+      float* a = cols != nullptr ? cols + r0 * ckk : scratch.data();
+      for (index_t rr = 0; rr < rc; ++rr) {
+        const index_t r = r0 + rr;
+        const index_t ni = r / ohw, pos = r - ni * ohw;
+        gather_row<KS>(px, g, a + rr * ckk, ni, pos / g.ow, pos % g.ow, xf);
+      }
+      if (f.offset != nullptr) {
+        for (index_t rr = 0; rr < rc; ++rr) {
+          const float* row = a + rr * ckk;
+          float acc = 0.0f;
+          for (index_t p = 0; p < ckk; ++p) acc += row[p];
+          rsum[rr] = acc;
+        }
+      }
+      const index_t s0 = f.shared ? 0 : chip;
+      const index_t s1 = f.shared ? f.groups : chip + 1;
+      for (index_t slot = s0; slot < s1; ++slot) {
+        for (index_t rr = 0; rr < rc; ++rr) {
+          const index_t r = r0 + rr;
+          const index_t ni = r / ohw;
+          const index_t img = f.shared ? slot * g.n + ni : ni;
+          dst[rr] = y + img * cout * ohw + (r - ni * ohw);
+        }
+        if (f.offset != nullptr) {
+          for (index_t rr = 0; rr < rc; ++rr) {
+            off[rr] = f.offset[slot] * rsum[rr];
+          }
+        }
+        for (index_t pi = 0; pi < npanels; ++pi) {
+          const index_t j0 = pi * kJ;
+          const index_t jr = std::min(kJ, cout - j0);
+          block_tile(a, ckk, rc, pk + (slot * npanels + pi) * ckk * kJ, jr,
+                     t);
+          if (f.gain != nullptr) {
+            const float gs = f.gain[slot];
+            for (index_t rr = 0; rr < rc; ++rr) {
+              for (index_t jj = 0; jj < jr; ++jj) t[rr * kJ + jj] *= gs;
+            }
+          }
+          if (f.offset != nullptr) {
+            for (index_t rr = 0; rr < rc; ++rr) {
+              for (index_t jj = 0; jj < jr; ++jj) t[rr * kJ + jj] -= off[rr];
+            }
+          }
+          for (index_t jj = 0; jj < jr; ++jj) {
+            const index_t co = j0 + jj;
+            const float bias = f.bias[co];
+            for (index_t rr = 0; rr < rc; ++rr) {
+              dst[rr][co * ohw] = t[rr * kJ + jj] + bias;
+            }
+          }
+        }
+      }
+    }
+  };
+  const index_t macs_per_block =
+      kPosBlock * ckk * cout * (f.shared ? f.groups : 1);
+  if (blocks * macs_per_block < kSerialMacs) {
+    run(index_t{0}, blocks);
+  } else {
+    parallel_for(index_t{0}, blocks,
+                 std::max<index_t>(1, kMinMacsPerChunk / macs_per_block), run);
+  }
+}
+
+template <typename Xf>
+void conv_forward_impl(const float* px, const ConvGeom& g, const Xf& xf,
+                       const float* pk, index_t cout, const ConvForward& f,
+                       float* cols, float* y) {
+  switch (g.k) {
+    case 1: conv_forward_sweep<1>(px, g, xf, pk, cout, f, cols, y); break;
+    case 2: conv_forward_sweep<2>(px, g, xf, pk, cout, f, cols, y); break;
+    case 3: conv_forward_sweep<3>(px, g, xf, pk, cout, f, cols, y); break;
+    case 5: conv_forward_sweep<5>(px, g, xf, pk, cout, f, cols, y); break;
+    default: conv_forward_sweep<0>(px, g, xf, pk, cout, f, cols, y); break;
+  }
+}
+
+}  // namespace
+
+void conv2d_forward(const Tensor& x, const ConvGeom& g, const Tensor& w,
+                    const ConvForward& f, Tensor* cols, Tensor& y) {
+  const index_t ckk = g.ckk();
+  if (f.groups < 1 || w.ndim() != 2 || w.dim(1) != ckk ||
+      w.dim(0) % f.groups != 0 || x.ndim() != 4 || x.dim(1) != g.c ||
+      x.dim(2) != g.h || x.dim(3) != g.w || x.dim(0) < g.n ||
+      (!f.shared && g.n % f.groups != 0) || f.bias == nullptr) {
+    throw std::invalid_argument("conv2d_forward: operand shapes disagree");
+  }
+  const index_t cout = w.dim(0) / f.groups;
+  // Pack every chip slot's weight panels once ({ckk, kJTile} each, slot
+  // major); the pack depends only on w, so workers share it read-only.
+  constexpr index_t kJ = gemm::kJTile;
+  const index_t npanels = (cout + kJ - 1) / kJ;
+  thread_local std::vector<float> pack;
+  const auto pack_size =
+      static_cast<std::size_t>(f.groups * npanels * ckk * kJ);
+  if (pack.size() < pack_size) pack.resize(pack_size);
+  for (index_t slot = 0; slot < f.groups; ++slot) {
+    for (index_t pi = 0; pi < npanels; ++pi) {
+      gemm::pack_nt_panel(w.data() + slot * cout * ckk, ckk, pi * kJ,
+                          std::min(kJ, cout - pi * kJ),
+                          pack.data() + (slot * npanels + pi) * ckk * kJ);
+    }
+  }
+  float* pc = nullptr;
+  if (cols != nullptr) {
+    cols->resize_for_overwrite({g.rows(), ckk});
+    pc = cols->data();
+  }
+  y.resize_for_overwrite(
+      {f.shared ? g.n * f.groups : g.n, cout, g.oh, g.ow});
+  if (f.act_scale > 0.0f) {
+    const float scale = f.act_scale, inv = 1.0f / scale;
+    const float qm = static_cast<float>(f.act_qmax);
+    // Same expression as ActQuantizer::quantize, applied per gathered
+    // element; zero-padding commutes (quantize(0) == 0).
+    conv_forward_impl(
+        x.data(), g,
+        [inv, scale, qm](float v) {
+          const float q = std::nearbyint(v * inv);
+          const bool inside = q >= 0.0f && q <= qm;
+          const float clamped = q < 0.0f ? 0.0f : qm;
+          return (inside ? q : clamped) * scale;
+        },
+        pack.data(), cout, f, pc, y.data());
+  } else {
+    conv_forward_impl(x.data(), g, [](float v) { return v; }, pack.data(),
+                      cout, f, pc, y.data());
+  }
 }
 
 namespace {
@@ -203,12 +425,7 @@ void col2im(const Tensor& cols, const ConvGeom& g, Tensor& gx) {
 
 namespace {
 
-// Conv backward schedule. GEMM grains mirror tensor/ops.cpp: chunks carry
-// at least kMinMacsPerChunk MACs and problems below kSerialMacs never
-// fork — pure functions of shape, so the split never depends on the
-// thread count.
-constexpr index_t kMinMacsPerChunk = index_t{1} << 19;
-constexpr index_t kSerialMacs = index_t{1} << 21;
+// Conv backward schedule (GEMM grains: kMinMacsPerChunk, kSerialMacs).
 // Contraction rows (image positions) per weight-gradient block: the
 // block's kJTile-column slice of cols (kKBlock * 128 B) stays in L1 while
 // every row band of dW reuses it, and the whole block (kKBlock * ckk

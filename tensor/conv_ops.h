@@ -1,10 +1,11 @@
 // Convolution/pooling loop nests: im2col, col2im, max-pooling, the fused
-// act-quantize + im2col gather used by the inference path, and the conv
-// backward (per-image weight and input gradients, DESIGN.md §8). Following
-// the Halide schedule/algorithm separation, this file owns the SCHEDULE
-// (threading grain, loop order, padding specialization) for the conv
-// pipeline, while the algorithms stay naive-loop-equivalent — the same
-// determinism contract tensor/ops.h establishes for the GEMM kernels.
+// conv forward (gather + register-tile GEMM + correction/bias epilogue,
+// NCHW out) and the conv backward (per-image weight and input gradients),
+// DESIGN.md §8. Following the Halide schedule/algorithm separation, this
+// file owns the SCHEDULE (threading grain, loop order, padding
+// specialization) for the conv pipeline, while the algorithms stay
+// naive-loop-equivalent — the same determinism contract tensor/ops.h
+// establishes for the GEMM kernels.
 //
 // Determinism contract (tested by tests/test_conv_ops.cpp):
 //  * Every output element is produced by exactly one thread with a fixed
@@ -22,17 +23,18 @@
 //    contributions per element in fixed (ky, kx) ascending order. No
 //    shared writes, no atomics, no partials.
 //  * im2col/pooling threading grains are whole output rows / whole
-//    (image, channel) planes, so chunk boundaries can never split one
-//    output element's work.
+//    (image, channel) planes, and the fused forward's are whole blocks of
+//    output positions, so chunk boundaries can never split one output
+//    element's work.
 //
-// The fused im2col_quant applies the unsigned activation quantizer
-// elementwise while gathering — arithmetic identical to
-// ActQuantizer::quantize followed by im2col (quantize(0) == 0, so padding
-// commutes with the quantizer) — removing one full tensor pass and one
-// scratch tensor. Because the gather visits each input element once per
-// covering window, the fusion only pays off when windows do not overlap
-// (stride >= k; e.g. 1x1 convs); QuantConv2d shape-gates it accordingly
-// and otherwise quantizes once (vectorized) before a pure-copy gather.
+// conv2d_forward can apply the unsigned activation quantizer elementwise
+// while gathering — arithmetic identical to ActQuantizer::quantize
+// followed by im2col (quantize(0) == 0, so padding commutes with the
+// quantizer) — removing one full tensor pass and one scratch tensor.
+// Because the gather visits each input element once per covering window,
+// that only pays off when windows do not overlap (stride >= k; e.g. 1x1
+// convs); QuantConv2d shape-gates it accordingly and otherwise quantizes
+// once (vectorized) before a pure-copy gather.
 #pragma once
 
 #include <vector>
@@ -59,11 +61,40 @@ struct ConvGeom {
 /// (QAVAT_THREADS), bit-identical for any thread count.
 void im2col(const Tensor& x, const ConvGeom& g, Tensor& cols);
 
-/// im2col with the unsigned activation quantizer fused into the gather:
-/// every gathered element v becomes scale * clamp(nearbyint(v / scale),
-/// 0, qmax). Bit-identical to ActQuantizer::quantize + im2col.
-void im2col_quant(const Tensor& x, const ConvGeom& g, float scale,
-                  index_t qmax, Tensor& cols);
+/// Everything conv2d_forward needs beyond its operands: the activation
+/// grid fused into the gather, the noise-batch layout, and the epilogue.
+struct ConvForward {
+  /// When > 0, every gathered value v becomes act_scale *
+  /// clamp(nearbyint(v / act_scale), 0, act_qmax) — ActQuantizer's
+  /// arithmetic; 0 gathers x as is.
+  float act_scale = 0.0f;
+  index_t act_qmax = 0;  ///< top unsigned activation code
+  /// Chip slots: w stacks `groups` {cout, ckk} weight blocks.
+  index_t groups = 1;
+  /// false: the g.n images are `groups` equal chip-major blocks, block b
+  /// multiplied by weight block b. true: the g.n images are every slot's
+  /// input — gathered once, one output block of g.n images per slot.
+  bool shared = false;
+  const float* bias = nullptr;    ///< {cout}, added last (required)
+  const float* gain = nullptr;    ///< {groups}: y *= gain[slot], or null
+  /// {groups}: y -= offset[slot] * (the element's gathered-row sum,
+  /// ascending from 0.0f), the product rounded first; or null.
+  const float* offset = nullptr;
+};
+
+/// Fused conv forward (DESIGN.md §8): per block of output positions,
+/// gather the im2col rows, multiply them by the chip slot's weights in
+/// register tiles, apply the self-tuning correction and the bias, and
+/// store NCHW y (resized to {g.n, cout, g.oh, g.ow}, times `groups` when
+/// shared). w is {groups * cout, g.ckk()}. `cols` (resized to {g.rows(),
+/// g.ckk()}) receives the gathered rows when non-null — the training
+/// cache the backward reads; otherwise no im2col matrix is stored. Each
+/// element is bit-identical to im2col + matmul_nt (per chip block) +
+/// `*= gain` / `-= offset * rowsum` + permute + bias. Threaded over
+/// position blocks, bit-identical for any thread count. Throws
+/// std::invalid_argument on a shape mismatch.
+void conv2d_forward(const Tensor& x, const ConvGeom& g, const Tensor& w,
+                    const ConvForward& f, Tensor* cols, Tensor& y);
 
 /// Transpose of im2col: scatter-add the cols-layout gradient back to the
 /// input image layout (gather form, see the contract above). Writes every

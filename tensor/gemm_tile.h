@@ -111,6 +111,45 @@ inline void mul_tile1(const LoadA& load_a, const float* pb, index_t bstride,
   for (index_t jj = 0; jj < jr; ++jj) crow[jj] = acc[jj];
 }
 
+// R x JR generalisation of mul_tile4 for taller tiles over a packed NT
+// panel (the fused conv forward's position blocks, tensor/conv_ops.cpp):
+// full-width only (every one of the R rows and JR columns is real),
+// overwrite form, the same per-element order — ascending p from 0.0f —
+// so its results equal mul_tile4/mul_tile1 bit for bit. A 4 x 16 tile
+// keeps only four independent FMA chains (one 16-lane vector per row);
+// 8 x 16 keeps eight, enough to cover the FMA latency.
+template <index_t R, index_t JR, typename LoadA>
+inline void mul_tile_r(const LoadA& load_a, const float* pb, index_t bstride,
+                       index_t bj0, float* pc, index_t n, index_t k) {
+  float acc[R][JR];
+  for (index_t r = 0; r < R; ++r) {
+    for (index_t jj = 0; jj < JR; ++jj) acc[r][jj] = 0.0f;
+  }
+  for (index_t p = 0; p < k; ++p) {
+    const float* brow = pb + p * bstride + bj0;
+    for (index_t r = 0; r < R; ++r) {
+      const float av = load_a(p, r);
+      QAVAT_SIMD
+      for (index_t jj = 0; jj < JR; ++jj) acc[r][jj] += av * brow[jj];
+    }
+  }
+  for (index_t r = 0; r < R; ++r) {
+    for (index_t jj = 0; jj < JR; ++jj) pc[r * n + jj] = acc[r][jj];
+  }
+}
+
+// Transpose one kJTile-column panel of B {n, k} (rows [j0, j0+jr)) into a
+// packed {k, kJTile} buffer so the register-tile kernels run at full SIMD
+// width on an NT product. The pack depends only on (B, j0), never on the
+// row range, so results stay thread-count independent no matter who packs.
+inline void pack_nt_panel(const float* pb, index_t k, index_t j0, index_t jr,
+                          float* pk) {
+  for (index_t jj = 0; jj < jr; ++jj) {
+    const float* brow = pb + (j0 + jj) * k;
+    for (index_t p = 0; p < k; ++p) pk[p * kJTile + jj] = brow[p];
+  }
+}
+
 // Tile sweep over one C row band [i, i+rows) for C columns [j0, j0+jr);
 // `rows` is 4 or the final remainder. Full-width (32) and half-width (16)
 // tiles run with compile-time constant trip counts so the accumulators

@@ -14,6 +14,7 @@ namespace qavat {
 using gemm::kJTile;
 using gemm::kRowBlock;
 using gemm::mul_band;
+using gemm::pack_nt_panel;
 
 namespace {
 
@@ -72,18 +73,6 @@ void gemm_nn_rows(const float* pa, const float* pb, float* pc, index_t i0,
       const index_t jr = std::min(kJTile, n - j0);
       mul_band(load_a, pb, n, j0, pc, i, i1 - i, j0, jr, k, n);
     }
-  }
-}
-
-// Transpose one kJTile-column panel of B {n, k} into a packed {k, kJTile}
-// buffer so the register-tile kernel runs at full SIMD width. The pack
-// depends only on (B, j0), never on the row range, so results stay
-// thread-count independent no matter who packs.
-void pack_nt_panel(const float* pb, index_t k, index_t j0, index_t jr,
-                   float* pk) {
-  for (index_t jj = 0; jj < jr; ++jj) {
-    const float* brow = pb + (j0 + jj) * k;
-    for (index_t p = 0; p < k; ++p) pk[p * kJTile + jj] = brow[p];
   }
 }
 
@@ -289,12 +278,6 @@ void matmul_nt_shared_into(const Tensor& a, const Tensor& b, index_t groups,
   }
 }
 
-Tensor matmul_nt_shared(const Tensor& a, const Tensor& b, index_t groups) {
-  Tensor c;
-  matmul_nt_shared_into(a, b, groups, c);
-  return c;
-}
-
 void matmul_nt_batched_into(const Tensor& a, const Tensor& b, index_t groups,
                             Tensor& c) {
   check_gemm_2d("matmul_nt_batched", a, b, 1, 1);
@@ -328,12 +311,6 @@ void matmul_nt_batched_into(const Tensor& a, const Tensor& b, index_t groups,
   } else {
     parallel_for(index_t{0}, groups, index_t{1}, run);
   }
-}
-
-Tensor matmul_nt_batched(const Tensor& a, const Tensor& b, index_t groups) {
-  Tensor c;
-  matmul_nt_batched_into(a, b, groups, c);
-  return c;
 }
 
 void fill_normal(Tensor& t, Rng& rng) { fill_normal(t, rng, 0.0, 1.0); }

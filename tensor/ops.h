@@ -15,8 +15,9 @@
 //    output element — never depends on weight sparsity.
 //  * Each output element is produced by exactly one thread with a fixed
 //    per-element operation order, so results are bit-identical for any
-//    thread count, and matmul_nt_batched(a, b, g) is bit-identical to g
-//    independent matmul_nt calls on the corresponding blocks.
+//    thread count, and matmul_nt_batched_into(a, b, g, c) is
+//    bit-identical to g independent matmul_nt calls on the corresponding
+//    blocks.
 #pragma once
 
 #include "tensor/tensor.h"
@@ -50,24 +51,22 @@ void matmul_tn_into(const Tensor& a, const Tensor& b, Tensor& c);
 /// is the partial-sum determinism contract of the crossbar column tiling
 /// (DESIGN.md §10). Thread-count independent like every GEMM here.
 void matmul_nt_acc_into(const Tensor& a, const Tensor& b, Tensor& c);
-void matmul_nt_batched_into(const Tensor& a, const Tensor& b, index_t groups,
-                            Tensor& c);
-void matmul_nt_shared_into(const Tensor& a, const Tensor& b, index_t groups,
-                           Tensor& c);
 
 /// Grouped NT GEMM over `groups` stacked blocks: A {g*rows, k} (row-major
 /// groups), B {g*n, k} (one stacked weight block per group), C {g*rows, n}
 /// where C block i = A block i * (B block i)^T. Groups run in parallel;
 /// each block is bit-identical to matmul_nt on that block. This is the
 /// noise-batched effective-weight path of the Monte-Carlo evaluator.
-Tensor matmul_nt_batched(const Tensor& a, const Tensor& b, index_t groups);
+void matmul_nt_batched_into(const Tensor& a, const Tensor& b, index_t groups,
+                            Tensor& c);
 
 /// Grouped NT GEMM with one shared A block: A {rows, k}, B {g*n, k},
 /// C {g*rows, n} with C block i = A * (B block i)^T. Bit-identical to
-/// matmul_nt_batched with A tiled `groups` times, without materializing
-/// the tiling — used when every simulated chip sees the same input (e.g.
-/// the first layer of a batched Monte-Carlo forward).
-Tensor matmul_nt_shared(const Tensor& a, const Tensor& b, index_t groups);
+/// matmul_nt_batched_into with A tiled `groups` times, without
+/// materializing the tiling — used when every simulated chip sees the
+/// same input (e.g. the first layer of a batched Monte-Carlo forward).
+void matmul_nt_shared_into(const Tensor& a, const Tensor& b, index_t groups,
+                           Tensor& c);
 
 /// Fill with iid standard normal draws.
 void fill_normal(Tensor& t, Rng& rng);

@@ -1,6 +1,9 @@
 #include "tensor/tensor.h"
 
+#include <algorithm>
 #include <cmath>
+
+#include "tensor/gemm_tile.h"  // QAVAT_SIMD
 
 namespace qavat {
 
@@ -90,8 +93,22 @@ void Tensor::fill(float v) {
 }
 
 float Tensor::abs_max() const {
+  // kLanes independent partial maxima, so the loop vectorizes; max is
+  // exact and std::max(m, NaN) keeps m in every lane, so the result is
+  // the sequential one for any data.
+  constexpr std::size_t kLanes = 16;
+  float lane[kLanes] = {};
+  const float* p = data_.data();
+  const std::size_t n = data_.size(), body = n - n % kLanes;
+  for (std::size_t i = 0; i < body; i += kLanes) {
+    QAVAT_SIMD
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      lane[l] = std::max(lane[l], std::fabs(p[i + l]));
+    }
+  }
   float m = 0.0f;
-  for (float x : data_) m = std::max(m, std::fabs(x));
+  for (std::size_t i = body; i < n; ++i) m = std::max(m, std::fabs(p[i]));
+  for (float v : lane) m = std::max(m, v);
   return m;
 }
 

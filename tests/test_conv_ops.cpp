@@ -1,11 +1,13 @@
 // Tier-1: the threaded conv-pipeline kernels (tensor/conv_ops.h) against
-// naive references on odd pad/stride/kernel combos, the fused
-// act-quantize gather, the col2im determinism contract (gather form: no
-// scatter races, no atomics — bit-identical for any thread count), max
-// pooling, conv forward/backward and batched-eval thread bit-identity,
+// naive references on odd pad/stride/kernel combos, the col2im
+// determinism contract (gather form: no scatter races, no atomics —
+// bit-identical for any thread count), max pooling, the fused conv
+// forward and the conv backward against the old im2col/GEMM compositions
+// (bit-equal at 1, 2 and 5 threads), batched-eval thread bit-identity,
 // and the workspace zero-alloc steady-state invariant.
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "core/models/models.h"
@@ -157,21 +159,6 @@ void check_im2col_col2im(const ConvGeom& g, Rng& rng) {
     CHECK(bits_equal(gxn, gx1));
   }
   set_num_threads(saved);
-}
-
-void check_fused_quant_gather(Rng& rng) {
-  const ConvGeom g = geom_of(3, 4, 9, 7, 3, 1, 1);
-  Tensor x({g.n, g.c, g.h, g.w});
-  fill_normal(x, rng);
-  ActQuantizer aq(4);
-  aq.set_scale(0.17f);
-  Tensor xq;
-  aq.quantize(x, xq, nullptr);
-  Tensor ref;
-  im2col(xq, g, ref);
-  Tensor fused;
-  im2col_quant(x, g, aq.scale(), unsigned_qmax(aq.bits()), fused);
-  CHECK(bits_equal(fused, ref));  // fusion must be arithmetic-identical
 }
 
 void check_maxpool(Rng& rng) {
@@ -382,12 +369,12 @@ void check_conv_backward_oracle(const ConvCase& c, std::uint64_t seed) {
   set_num_threads(saved);
 }
 
-void check_conv_backward_shapes() {
-  // Every conv layer of the three models (batch 8; the 16x16 ResNet block
-  // also at the training batch of 32): OH*OW from 16 to 256, fan-outs 8 to
-  // 32, the 1x1 projection, and shapes big enough to take the threaded
-  // weight- and input-gradient paths.
-  const ConvCase models[] = {
+// Every conv layer of the three models (batch 8; the 16x16 ResNet block
+// also at the training batch of 32): OH*OW from 16 to 256, fan-outs 8 to
+// 32, the 1x1 projection, and shapes big enough to take the threaded
+// paths.
+std::vector<ConvCase> model_conv_cases() {
+  return {
       {8, 1, 8, 12, 12, 3, 1, 1},  {8, 8, 16, 6, 6, 3, 1, 1},     // lenet5s
       {8, 3, 16, 16, 16, 3, 1, 1}, {8, 16, 32, 8, 8, 3, 1, 1},    // vgg11s
       {8, 32, 32, 4, 4, 3, 1, 1},                                 //
@@ -395,40 +382,203 @@ void check_conv_backward_shapes() {
       {8, 16, 32, 8, 8, 3, 1, 1},  {8, 32, 32, 8, 8, 3, 1, 1},    //
       {8, 16, 32, 8, 8, 1, 1, 0},
   };
-  std::uint64_t seed = 100;
-  int cases = 0;
-  for (const ConvCase& c : models) {
-    check_conv_backward_oracle(c, seed++);
-    ++cases;
-  }
-  // Odd shapes: every k in {1,2,3,5} x stride in {1,2,3} x pad in {0,1,2}
-  // on a small image (OH*OW below 64) and a larger non-square one (above
-  // 64 at stride 1), odd channel counts (ragged 4-row bands and 32-column
-  // tiles), plus one big enough to thread.
+}
+
+// Odd shapes: every k in {1,2,3,5} x stride in {1,2,3} x pad in {0,1,2}
+// on a small image (OH*OW below 64) and a larger non-square one (above
+// 64 at stride 1), odd channel counts (ragged 4-row bands and 32-column
+// tiles), plus two with 13 and 9 output channels, one big enough to
+// thread.
+std::vector<ConvCase> odd_conv_cases() {
+  std::vector<ConvCase> cases;
   for (index_t k : {1, 2, 3, 5}) {
     for (index_t stride : {1, 2, 3}) {
       for (index_t pad : {0, 1, 2}) {
         for (index_t side : {7, 19}) {
           const ConvCase c{3, 3, 5, side, side - 2, k, stride, pad};
           if (c.h + 2 * pad < k || c.w + 2 * pad < k) continue;
-          check_conv_backward_oracle(c, seed++);
-          ++cases;
+          cases.push_back(c);
         }
       }
     }
   }
-  check_conv_backward_oracle({6, 5, 13, 23, 21, 5, 1, 2}, seed++);
-  check_conv_backward_oracle({5, 7, 9, 11, 13, 2, 1, 0}, seed++);
-  cases += 2;
+  cases.push_back({6, 5, 13, 23, 21, 5, 1, 2});
+  cases.push_back({5, 7, 9, 11, 13, 2, 1, 0});
+  return cases;
+}
+
+void check_conv_backward_shapes() {
+  std::uint64_t seed = 100;
+  int cases = 0;
+  for (const ConvCase& c : model_conv_cases()) {
+    check_conv_backward_oracle(c, seed++);
+    ++cases;
+  }
+  for (const ConvCase& c : odd_conv_cases()) {
+    check_conv_backward_oracle(c, seed++);
+    ++cases;
+  }
   CHECK(cases == 10 + 72 + 2);
 }
 
-// A steady-state conv backward allocates nothing big but the gradient it
-// returns: its channel-major copy and weight gradient are workspace slots
-// and its per-thread slabs persist, so only small shape vectors and the
-// returned gx reach the heap (none of it when the input gradient is
-// skipped). At one thread, so every slab belongs to this thread.
-void check_conv_backward_allocation() {
+// The conv forward as it was before the fused kernel, composed from the
+// public kernels: quantize the whole input, im2col, the plain / batched /
+// shared NT GEMM into {rows, cout}, the per-slot correction (scale() for
+// a gain; per row the ascending row sum of cols, its product with the
+// slot's offset, then one subtraction per element), then the permute to
+// NCHW plus the bias. `cols` receives the im2col matrix.
+Tensor oracle_conv_forward(const Tensor& x, const ConvGeom& g, const Tensor& w,
+                           const ConvForward& f, Tensor& cols) {
+  Tensor xq = x;
+  if (f.act_scale > 0.0f) {
+    ActQuantizer aq(4);
+    CHECK(unsigned_qmax(aq.bits()) == f.act_qmax);
+    aq.set_scale(f.act_scale);
+    aq.quantize(x, xq, nullptr);
+  }
+  im2col(xq, g, cols);
+  Tensor y2d;
+  if (f.groups == 1) {
+    matmul_nt_into(cols, w, y2d);
+  } else if (f.shared) {
+    matmul_nt_shared_into(cols, w, f.groups, y2d);
+  } else {
+    matmul_nt_batched_into(cols, w, f.groups, y2d);
+  }
+  const index_t cout = y2d.dim(1), rows = y2d.dim(0);
+  const index_t rows_per = rows / f.groups, ckk = g.ckk();
+  for (index_t slot = 0; slot < f.groups; ++slot) {
+    float* ys = y2d.data() + slot * rows_per * cout;
+    if (f.gain != nullptr) scale(ys, rows_per * cout, f.gain[slot]);
+    if (f.offset == nullptr) continue;
+    for (index_t r = 0; r < rows_per; ++r) {
+      const index_t cr = f.shared ? r : slot * rows_per + r;
+      float sum = 0.0f;
+      for (index_t p = 0; p < ckk; ++p) sum += cols[cr * ckk + p];
+      const float off = f.offset[slot] * sum;
+      for (index_t co = 0; co < cout; ++co) ys[r * cout + co] -= off;
+    }
+  }
+  const index_t ohw = g.oh * g.ow;
+  Tensor y({rows / ohw, cout, g.oh, g.ow});
+  for (index_t r = 0; r < rows; ++r) {
+    const index_t ni = r / ohw, pos = r % ohw;
+    for (index_t co = 0; co < cout; ++co) {
+      y[(ni * cout + co) * ohw + pos] = y2d[r * cout + co] + f.bias[co];
+    }
+  }
+  return y;
+}
+
+// conv2d_forward must be bit-equal to the oracle composition at 1, 2 and
+// 5 threads, for every chip layout (nb 1; nb 3 unshared and shared),
+// correction (none, gain, offset) and gather (raw, quantizing), and the
+// rows it keeps in `cols` must equal im2col of the quantized input.
+// `per_chip` images per chip slot.
+void check_conv_forward_oracle(const ConvCase& c, index_t per_chip,
+                               std::uint64_t seed) {
+  Rng rng(seed);
+  const index_t saved = num_threads();
+  int bad = 0;
+  for (index_t nb : {1, 3}) {
+    for (bool shared : {false, true}) {
+      if (nb == 1 && shared) continue;
+      // The shared layout gathers one block of per_chip images; the
+      // unshared one all nb blocks.
+      const ConvGeom g = geom_of(shared ? per_chip : nb * per_chip, c.cin,
+                                 c.h, c.w, c.k, c.stride, c.pad);
+      Tensor x({nb * per_chip, c.cin, c.h, c.w});
+      fill_normal(x, rng);
+      if (shared) {  // nb identical chip blocks, as the layer detects them
+        const index_t block = x.size() / nb;
+        for (index_t i = block; i < x.size(); ++i) x[i] = x[i % block];
+      }
+      Tensor w({nb * c.cout, g.ckk()});
+      fill_normal(w, rng, 0.0, 0.3);
+      Tensor bias({c.cout});
+      fill_normal(bias, rng);
+      std::vector<float> gain(static_cast<std::size_t>(nb));
+      std::vector<float> offset(static_cast<std::size_t>(nb));
+      for (index_t b = 0; b < nb; ++b) {
+        gain[static_cast<std::size_t>(b)] =
+            1.0f / (1.0f + static_cast<float>(rng.normal(0.0, 0.1)));
+        offset[static_cast<std::size_t>(b)] =
+            static_cast<float>(rng.normal(0.0, 0.05));
+      }
+      for (int corr = 0; corr < 3; ++corr) {
+        for (bool quant : {false, true}) {
+          ConvForward f;
+          f.act_scale = quant ? 0.17f : 0.0f;
+          f.act_qmax = unsigned_qmax(4);
+          f.groups = nb;
+          f.shared = shared;
+          f.bias = bias.data();
+          f.gain = corr == 1 ? gain.data() : nullptr;
+          f.offset = corr == 2 ? offset.data() : nullptr;
+          set_num_threads(saved);
+          Tensor ref_cols;
+          const Tensor ref = oracle_conv_forward(x, g, w, f, ref_cols);
+          for (index_t nt : {1, 2, 5}) {
+            set_num_threads(nt);
+            // Training keeps the gathered rows; every other call stores
+            // none.
+            const bool keep = nb == 1 || nt == 2;
+            Tensor y, cols;
+            conv2d_forward(x, g, w, f, keep ? &cols : nullptr, y);
+            if (!bits_equal(y, ref) || (keep && !bits_equal(cols, ref_cols))) {
+              if (bad++ == 0) {
+                std::printf("FAIL conv forward vs oracle: n%lld c%lld->%lld "
+                            "%lldx%lld k%lld s%lld p%lld nb %lld shared %d "
+                            "corr %d quant %d threads %lld\n",
+                            g.n, c.cin, c.cout, c.h, c.w, c.k, c.stride, c.pad,
+                            nb, shared ? 1 : 0, corr, quant ? 1 : 0, nt);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  set_num_threads(saved);
+  qavat::test::failures += bad;
+}
+
+void check_conv_forward_shapes() {
+  std::uint64_t seed = 500;
+  int cases = 0;
+  for (const ConvCase& c : model_conv_cases()) {
+    check_conv_forward_oracle(c, std::max<index_t>(1, c.n / 3), seed++);
+    ++cases;
+  }
+  for (const ConvCase& c : odd_conv_cases()) {
+    check_conv_forward_oracle(c, 2, seed++);
+    ++cases;
+  }
+  CHECK(cases == 10 + 72 + 2);
+  // Operands that disagree throw.
+  const ConvGeom g = geom_of(2, 3, 6, 6, 3, 1, 1);
+  Tensor x({2, 3, 6, 6}), w({4, g.ckk()}), bias({4}), y;
+  ConvForward f;
+  f.bias = bias.data();
+  f.groups = 3;  // 4 weight rows do not split into 3 slots
+  bool threw = false;
+  try {
+    conv2d_forward(x, g, w, f, nullptr, y);
+  } catch (const std::invalid_argument&) {
+    threw = true;
+  }
+  CHECK(threw);
+}
+
+// A steady-state conv forward allocates nothing big but the output it
+// returns — the fused kernel keeps no im2col matrix in inference and
+// writes training's rows into the layer's cols_ — and a steady-state
+// backward nothing big but the gradient it returns: its channel-major
+// copy and weight gradient are workspace slots and its per-thread slabs
+// persist (none of it when the input gradient is skipped). Only small
+// shape vectors reach the heap beside. At one thread, so every slab and
+// packed panel belongs to this thread.
+void check_conv_allocation() {
   const index_t saved = num_threads();
   set_num_threads(1);
   const ConvCase c{8, 16, 16, 16, 16, 3, 1, 1};
@@ -438,20 +588,51 @@ void check_conv_backward_allocation() {
   fill_normal(x, rng);
   Tensor gy({c.n, c.cout, g.oh, g.ow});
   fill_normal(gy, rng);
+  const long long y_bytes = static_cast<long long>(gy.size() * sizeof(float));
   for (bool input_grad : {true, false}) {
     auto conv = make_case_conv(c);
     conv->set_input_grad(input_grad);
     conv->forward(x);
     conv->backward(gy);  // warm-up: workspace slots and slabs sized
+    long long b0 = g_heap_bytes.load();
     conv->forward(x);
-    const long long b0 = g_heap_bytes.load();
+    long long bytes = g_heap_bytes.load() - b0;
+    CHECK(bytes >= y_bytes && bytes <= y_bytes + 1024);
+    b0 = g_heap_bytes.load();
     const Tensor gx = conv->backward(gy);
-    const long long bytes = g_heap_bytes.load() - b0;
+    bytes = g_heap_bytes.load() - b0;
     const long long gx_bytes =
         input_grad ? static_cast<long long>(x.size() * sizeof(float)) : 0;
     CHECK(gx.size() == (input_grad ? x.size() : 0));
     CHECK(bytes >= gx_bytes);
     CHECK(bytes <= gx_bytes + 1024);
+  }
+  // Inference, plain and with a chip batch of 3 under the offset
+  // correction: again only the returned output.
+  for (index_t nb : {1, 3}) {
+    auto conv = make_case_conv(c);
+    conv->set_training(false);
+    Tensor xb({nb * c.n, c.cin, c.h, c.w});
+    fill_normal(xb, rng);
+    if (nb > 1) {
+      NoiseState& ns = conv->noise_state();
+      ns.active = true;
+      ns.batch = nb;
+      ns.eps.resize({nb * c.cout, g.ckk()});
+      fill_normal(ns.eps, rng, 0.0, 0.05);
+      ns.eps_b_v.assign(static_cast<std::size_t>(nb), 0.01f);
+      ns.eps_hat_v.assign(static_cast<std::size_t>(nb), 0.02f);
+      ns.ltm_err_v.assign(static_cast<std::size_t>(nb), 0.0f);
+      ns.correction = CorrectionKind::kOffset;
+      ++ns.revision;
+    }
+    conv->forward(xb);
+    const long long b0 = g_heap_bytes.load();
+    const Tensor y = conv->forward(xb);
+    const long long bytes = g_heap_bytes.load() - b0;
+    const auto out_bytes = static_cast<long long>(y.size() * sizeof(float));
+    CHECK(y.dim(0) == nb * c.n);
+    CHECK(bytes >= out_bytes && bytes <= out_bytes + 1024);
   }
   set_num_threads(saved);
 }
@@ -621,18 +802,22 @@ int main() {
       // (col2im's truncating-division edge: a negative xo numerator must
       // skip the tap, not clamp to xo = 0).
       {1, 1, 2, 2, 5, 2, 2},
+      // pad >= k puts whole windows left or right of the image: the
+      // gather must zero exactly its own row (an unclamped tap bound
+      // once zeroed a neighbouring row's last element).
+      {1, 2, 5, 5, 1, 2, 2}, {2, 3, 4, 7, 1, 3, 2}, {1, 2, 6, 5, 2, 3, 2},
   };
   for (const auto& s : combos) {
     const ConvGeom g = geom_of(s[0], s[1], s[2], s[3], s[4], s[5], s[6]);
     check_im2col_col2im(g, rng);
   }
 
-  check_fused_quant_gather(rng);
   check_maxpool(rng);
   check_conv_layer_thread_identity(rng);
   check_conv_backward_shapes();
+  check_conv_forward_shapes();
   check_first_layer_skip();
-  check_conv_backward_allocation();
+  check_conv_allocation();
   check_batched_eval_thread_identity();
   check_workspace_steady_state(ModelKind::kLeNet5s, rng);
   check_workspace_steady_state(ModelKind::kResNet18s, rng);

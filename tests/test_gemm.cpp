@@ -107,10 +107,17 @@ int main() {
   CHECK(throws_invalid_argument([&] { matmul(a23, v3); }));
   CHECK(throws_invalid_argument([&] { matmul_nt(a23, b45); }));
   CHECK(throws_invalid_argument([&] { matmul_tn(a23, b45); }));
-  CHECK(throws_invalid_argument([&] { matmul_nt_batched(a23, a23, 0); }));
   {
+    Tensor c;
+    CHECK(throws_invalid_argument(
+        [&] { matmul_nt_batched_into(a23, a23, 0, c); }));
+    CHECK(throws_invalid_argument(
+        [&] { matmul_nt_shared_into(a23, a23, 0, c); }));
     Tensor a63({6, 3}), b43({4, 3});
-    CHECK(throws_invalid_argument([&] { matmul_nt_batched(a63, b43, 4); }));
+    CHECK(throws_invalid_argument(
+        [&] { matmul_nt_batched_into(a63, b43, 4, c); }));
+    CHECK(throws_invalid_argument(
+        [&] { matmul_nt_shared_into(a63, b43, 3, c); }));
   }
 
   // Zero entries must not change the accumulation order: a GEMM where some
@@ -146,27 +153,36 @@ int main() {
     set_num_threads(saved);
   }
 
-  // Grouped NT GEMM == per-group matmul_nt, bit for bit, for any thread
-  // count (this is the batched Monte-Carlo effective-weight path).
+  // Grouped NT GEMMs == per-group matmul_nt, bit for bit, for any thread
+  // count (the batched Monte-Carlo effective-weight path): batched with
+  // its own A block per group, shared with one A block for every group.
   {
     const index_t saved = num_threads();
     const index_t groups = 3, rows = 5, k = 37, n = 11;
     Tensor a({groups * rows, k}), b({groups * n, k});
     fill_normal(a, rng);
     fill_normal(b, rng);
+    Tensor a0({rows, k});
+    std::memcpy(a0.data(), a.data(),
+                static_cast<std::size_t>(rows * k) * sizeof(float));
     for (index_t nt : {1, 4}) {
       set_num_threads(nt);
-      Tensor c = matmul_nt_batched(a, b, groups);
+      Tensor c, cs;
+      matmul_nt_batched_into(a, b, groups, c);
+      matmul_nt_shared_into(a0, b, groups, cs);
       CHECK(c.dim(0) == groups * rows && c.dim(1) == n);
+      CHECK(cs.shape() == c.shape());
       for (index_t g = 0; g < groups; ++g) {
         Tensor ag({rows, k}), bg({n, k});
         std::memcpy(ag.data(), a.data() + g * rows * k,
                     static_cast<std::size_t>(rows * k) * sizeof(float));
         std::memcpy(bg.data(), b.data() + g * n * k,
                     static_cast<std::size_t>(n * k) * sizeof(float));
+        const auto bytes = static_cast<std::size_t>(rows * n) * sizeof(float);
         Tensor cg = matmul_nt(ag, bg);
-        CHECK(std::memcmp(c.data() + g * rows * n, cg.data(),
-                          static_cast<std::size_t>(rows * n) * sizeof(float)) == 0);
+        CHECK(std::memcmp(c.data() + g * rows * n, cg.data(), bytes) == 0);
+        Tensor cg0 = matmul_nt(a0, bg);
+        CHECK(std::memcmp(cs.data() + g * rows * n, cg0.data(), bytes) == 0);
       }
     }
     set_num_threads(saved);

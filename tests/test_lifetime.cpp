@@ -5,7 +5,8 @@
 // round-trip bit-identity, and FleetEvaluator end-to-end: warm-store
 // load, horizon-extension resume == uninterrupted run (bitwise), and
 // chip-batch grouping invariance. Runs against a private temp store
-// (QAVAT_STORE_DIR set before any store call, as in test_store.cpp).
+// (QAVAT_STORE_DIR set and QAVAT_STORE cleared before any store call,
+// so the test never depends on the environment it inherits).
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -809,6 +810,11 @@ int main() {
       fs::temp_directory_path() /
       ("qavat_test_lifetime_" + std::to_string(::getpid()));
   ::setenv("QAVAT_STORE_DIR", store_dir.c_str(), 1);
+  // The store-backed checks need persistence on whatever the caller's
+  // environment says (a QAVAT_STORE=0 inherited from a test runner would
+  // turn every warm load into a recompute).
+  ::unsetenv("QAVAT_STORE");
+  CHECK(store_enabled());
 
   test_ou_stationary_moments();
   test_ou_determinism_and_injection();

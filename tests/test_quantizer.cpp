@@ -1,6 +1,12 @@
 // Tier-1: quantize_dequantize round-trip and STE mask, mmse_scale
-// scale-equivariance/monotonicity, activation quantizer behavior.
+// scale-equivariance/monotonicity, activation quantizer behavior, and the
+// vectorized quantizers / abs_max against their elementwise definitions.
 #include "core/quant/quantizer.h"
+
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "tensor/ops.h"
 #include "tests/test_common.h"
@@ -18,6 +24,54 @@ double qdq_mse(const Tensor& x, float scale, index_t bits) {
     err += d * d;
   }
   return err / static_cast<double>(x.size());
+}
+
+bool same_bits(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// The quantizers and abs_max against their one-element-at-a-time
+// definitions, bit for bit, on data with the awkward values (-0, NaN,
+// +-inf, far out of range, exact ties) at every position of a 16-lane
+// group and in a ragged tail.
+void check_elementwise_definitions(Rng& rng) {
+  Tensor x({16 * 64 + 5});
+  fill_normal(x, rng, 0.0, 3.0);
+  const float odd[] = {-0.0f, std::numeric_limits<float>::quiet_NaN(),
+                       INFINITY, -INFINITY, 1e30f, -1e30f, 0.125f, -0.01f};
+  for (index_t i = 0; i < x.size(); i += 7) x[i] = odd[(i / 7) % 8];
+  for (index_t bits : {index_t{2}, index_t{4}, index_t{8}}) {
+    for (float scale : {0.05f, 0.25f, 2.0f}) {
+      const float inv = 1.0f / scale;
+      ActQuantizer aq(bits);
+      aq.set_scale(scale);
+      Tensor a, am, b, bm, bn;
+      aq.quantize(x, a, &am);
+      quantize_dequantize(x, scale, bits, b, &bm);
+      quantize_dequantize(x, scale, bits, bn);
+      const float uq = static_cast<float>(unsigned_qmax(bits));
+      const float sq = static_cast<float>(signed_qmax(bits));
+      for (index_t i = 0; i < x.size(); ++i) {
+        float q = std::nearbyint(x[i] * inv);
+        bool inside = q >= 0.0f && q <= uq;
+        if (!inside) q = q < 0.0f ? 0.0f : uq;
+        CHECK(same_bits(a[i], q * scale));
+        CHECK(am[i] == (inside ? 1.0f : 0.0f));
+        q = std::nearbyint(x[i] * inv);
+        inside = q >= -sq && q <= sq;
+        if (!inside) q = q < -sq ? -sq : sq;
+        CHECK(same_bits(b[i], q * scale) && same_bits(bn[i], b[i]));
+        CHECK(bm[i] == (inside ? 1.0f : 0.0f));
+      }
+    }
+  }
+  for (index_t n : {0, 1, 15, 16, 17, 16 * 64 + 5}) {
+    Tensor t({n});
+    float m = 0.0f;
+    for (index_t i = 0; i < n; ++i) {
+      t[i] = x[(i * 5) % x.size()];
+      m = std::max(m, std::fabs(t[i]));  // NaN never replaces m
+    }
+    CHECK(same_bits(t.abs_max(), m));
+  }
 }
 
 }  // namespace
@@ -88,5 +142,6 @@ int main() {
     CHECK(xq[i] >= 0.0f);
     CHECK_NEAR(xq[i], x[i], aq.scale() * 0.51);
   }
+  check_elementwise_definitions(rng);
   return qavat::test::finish("test_quantizer");
 }

@@ -10,7 +10,7 @@
 //   2. byte-identical results: every worker's result vector — which
 //      run_manifest returns in manifest order whatever dynamic order
 //      the scheduler executed — is bitwise equal to a single-process
-//      run_all reference on a second fresh store.
+//      reference pass on a second fresh store.
 //
 // Workers all start at manifest position 0; the scheduler itself
 // provides the contention schedule (a worker finding a unit's claim
@@ -56,7 +56,7 @@ SweepManifest sweep_manifest() {
 // that must be bitwise identical across workers and reference.
 struct SweepReport {
   long long train_runs = 0;
-  long long deferrals = 0;     // scheduler skip count (workers only)
+  long long deferrals = 0;     // scheduler skip count
   std::vector<double> values;  // [clean_acc, mean_acc, mc.accuracy.stddev] * n
 };
 
@@ -73,28 +73,19 @@ SweepReport report_from(const std::vector<ScenarioResult>& results,
   return rep;
 }
 
-// Worker body: one claim-aware run_manifest pass over the shared store.
-SweepReport run_worker() {
+// One claim-aware run_manifest pass over the current QAVAT_STORE_DIR:
+// a worker's on the shared store, the reference's on its private one.
+SweepReport run_sweep(const char* name) {
   const SweepManifest m = sweep_manifest();
   const long long runs_before = static_cast<long long>(training_runs());
   Session session;
   SweepSchedule schedule;
   const std::vector<ScenarioResult> results =
       session.run_manifest(m, &schedule);
-  session.print_summary("bench_sweep.worker");
+  session.print_summary(name);
   SweepReport rep = report_from(results, runs_before);
   rep.deferrals = static_cast<long long>(schedule.deferrals);
   return rep;
-}
-
-// Reference body: plain sequential-semantics run_all on a private store.
-SweepReport run_reference() {
-  const SweepManifest m = sweep_manifest();
-  const long long runs_before = static_cast<long long>(training_runs());
-  Session session;
-  const std::vector<ScenarioResult> results = session.run_all(m.specs);
-  session.print_summary("bench_sweep.ref");
-  return report_from(results, runs_before);
 }
 
 bool write_all(int fd, const void* buf, size_t n) {
@@ -169,7 +160,7 @@ int main(int argc, char** argv) {
     if (pid == 0) {
       ::close(fds[0]);
       ::setenv("QAVAT_STORE_DIR", shared_store.c_str(), 1);
-      const SweepReport rep = run_worker();
+      const SweepReport rep = run_sweep("bench_sweep.worker");
       const bool ok = write_all(fds[1], &rep.train_runs,
                                 sizeof rep.train_runs) &&
                       write_all(fds[1], &rep.deferrals,
@@ -217,11 +208,11 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "bench_sweep: scheduler deferrals=%lld across %d "
                "workers\n", deferrals_sum, workers);
 
-  // Single-process run_all reference on its own fresh store (the parent
+  // Single-process reference on its own fresh store (the parent
   // has run no compute yet, so this is a true cold run of the grid) —
   // run_manifest's ordering contract is checked against it bitwise.
   ::setenv("QAVAT_STORE_DIR", ref_store.c_str(), 1);
-  const SweepReport ref = run_reference();
+  const SweepReport ref = run_sweep("bench_sweep.ref");
 
   if (worker_runs_sum != ref.train_runs) {
     std::fprintf(stderr,

@@ -41,12 +41,10 @@ int main() {
   std::printf("Table I: QAVAT vs baselines at the lowest/highest variability\n");
   std::printf("(within-chip only, layer-fixed variance; mean accuracy %% over chips)\n\n");
 
-  // The grid is the built-in "table1" manifest, declared up front and
-  // run pipelined: scenario N+1 trains on the executor thread while
-  // scenario N evaluates here. run_all returns results in manifest
-  // order with sequential-run numbers, so the printed table is
-  // byte-identical to a run() loop (and to a qavat-sweep run of the
-  // same manifest).
+  // The grid is the built-in "table1" manifest. run_manifest returns
+  // results in manifest order with sequential-run numbers, so the
+  // printed table is byte-identical to a run() loop (and to a
+  // qavat-sweep run of the same manifest).
   SweepManifest manifest;
   if (!builtin_manifest("table1", &manifest) ||
       manifest.specs.size() != sizeof(rows) / sizeof(rows[0]) * 2 *
@@ -55,7 +53,7 @@ int main() {
     return 1;
   }
   const std::vector<ScenarioResult> results =
-      bench.session.run_all(manifest.specs);
+      bench.session.run_manifest(manifest);
 
   TextTable table({"Model", "A/W", "sigma", "PTQ-VAT", "QAT", "QAVAT"});
   std::size_t next = 0;

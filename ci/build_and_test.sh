@@ -36,25 +36,29 @@ run_suite() {
 run_suite "${BUILD_DIR}" Release
 run_suite "${DEBUG_BUILD_DIR}" Debug
 
-# Optional ThreadSanitizer pass over the pool-heavy tests (Debug +
-# -fsanitize=thread via -DQAVAT_TSAN=ON). Probed at runtime: hosts whose
-# toolchain lacks the TSan runtime skip gracefully instead of failing.
+# Optional ThreadSanitizer pass over the pool-heavy tests and the
+# scheduler test (test_runner runs run_manifest on a second thread while
+# the test thread holds a claim; it clears the QAVAT_STORE=0 below
+# itself). Debug + -fsanitize=thread via -DQAVAT_TSAN=ON. Probed at
+# runtime: hosts whose toolchain lacks the TSan runtime skip gracefully
+# instead of failing.
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-${REPO_ROOT}/build-tsan}"
 TSAN_PROBE="$(mktemp -d)"
 trap 'rm -rf "${TSAN_PROBE}"' EXIT
 echo 'int main() { return 0; }' > "${TSAN_PROBE}/probe.cc"
 if "${CXX:-c++}" -fsanitize=thread "${TSAN_PROBE}/probe.cc" \
      -o "${TSAN_PROBE}/probe" >/dev/null 2>&1 && "${TSAN_PROBE}/probe"; then
-  echo "== tsan (Debug, pool-heavy tests) =="
+  echo "== tsan (Debug, pool-heavy tests + scheduler) =="
   cmake -B "${TSAN_BUILD_DIR}" -S "${REPO_ROOT}" \
         -DCMAKE_BUILD_TYPE=Debug -DQAVAT_TSAN=ON
   cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
-        --target test_gemm test_conv_ops test_thread_pool
-  for t in test_gemm test_conv_ops test_thread_pool; do
+        --target test_gemm test_conv_ops test_thread_pool test_runner
+  for t in test_gemm test_conv_ops test_thread_pool test_runner; do
     echo "-- tsan ${t} --"
     QAVAT_FAST=1 QAVAT_STORE=0 QAVAT_THREADS=4 "${TSAN_BUILD_DIR}/${t}"
   done
-  echo "tsan: OK (test_gemm test_conv_ops test_thread_pool, QAVAT_THREADS=4)"
+  echo "tsan: OK (test_gemm test_conv_ops test_thread_pool test_runner," \
+       "QAVAT_THREADS=4)"
 else
   echo "tsan: toolchain has no usable ThreadSanitizer runtime - skipped"
 fi
@@ -233,26 +237,25 @@ echo "concurrent sweep: OK (train_runs ${W1_RUNS}+${W2_RUNS} = ${REF_RUNS}," \
 
 # Manifest sweep gate: the claim-aware scheduler end-to-end through the
 # qavat-sweep CLI (DESIGN.md §15). Emit the Table-I grid as a manifest,
-# run it once sequentially (plain run_all) on a fresh store as the
+# run it once in one uncontended process on a fresh store as the
 # reference, then race two forked claim-aware workers against a second
 # cold store. The workers' manifest-order stdout must be byte-identical
-# to the sequential reference, their summed train_runs must equal the
-# sequential run's (exactly once per unit, fleet-wide), a dry-run after
-# must show every claim unit done, and the contended store must verify
-# clean.
-echo "== manifest sweep (qavat-sweep, table1, 2 workers vs sequential) =="
+# to the reference, their summed train_runs must equal the reference
+# run's (exactly once per unit, fleet-wide), a dry-run after must show
+# every claim unit done, and the contended store must verify clean.
+echo "== manifest sweep (qavat-sweep, table1, 2 workers vs 1 process) =="
 MANIFEST_TMP="${STORE_TMP}/manifest"
 mkdir -p "${MANIFEST_TMP}"
 QAVAT_FAST=1 "${BUILD_DIR}/qavat-sweep" emit table1 \
   -o "${MANIFEST_TMP}/table1.json"
 QAVAT_FAST=1 QAVAT_STORE_DIR="${MANIFEST_TMP}/seq-store" \
-  "${BUILD_DIR}/qavat-sweep" run "${MANIFEST_TMP}/table1.json" --sequential \
+  "${BUILD_DIR}/qavat-sweep" run "${MANIFEST_TMP}/table1.json" \
   > "${MANIFEST_TMP}/seq.out" 2> "${MANIFEST_TMP}/seq.err"
 QAVAT_FAST=1 QAVAT_STORE_DIR="${MANIFEST_TMP}/race-store" \
   "${BUILD_DIR}/qavat-sweep" run "${MANIFEST_TMP}/table1.json" --workers 2 \
   > "${MANIFEST_TMP}/race.out" 2> "${MANIFEST_TMP}/race.err"
 if ! cmp "${MANIFEST_TMP}/seq.out" "${MANIFEST_TMP}/race.out"; then
-  echo "manifest gate: 2-worker stdout differs from sequential reference" >&2
+  echo "manifest gate: 2-worker stdout differs from 1-process reference" >&2
   exit 1
 fi
 sweep_runs_of() {
@@ -262,7 +265,7 @@ SEQ_RUNS="$(sweep_runs_of "${MANIFEST_TMP}/seq.err")"
 RACE_RUNS="$(sweep_runs_of "${MANIFEST_TMP}/race.err")"
 if [[ -z "${SEQ_RUNS}" || -z "${RACE_RUNS}" ||
       "${SEQ_RUNS}" -ne "${RACE_RUNS}" ]]; then
-  echo "manifest gate: summed train_runs '${RACE_RUNS}' != sequential" \
+  echo "manifest gate: summed train_runs '${RACE_RUNS}' != 1-process" \
        "'${SEQ_RUNS}' - work was duplicated or lost" >&2
   exit 1
 fi

@@ -1,6 +1,5 @@
 #include "core/models/models.h"
 
-#include <cassert>
 
 #include "tensor/conv_ops.h"
 #include "tensor/parallel_for.h"
@@ -271,28 +270,6 @@ std::unique_ptr<Module> make_model(ModelKind kind, const ModelConfig& cfg) {
     }
   }
   return m;
-}
-
-std::unique_ptr<Module> clone_model(Module& model) {
-  auto copy = make_model(model.kind(), model.config());
-  auto src_params = model.parameters();
-  auto dst_params = copy->parameters();
-  assert(src_params.size() == dst_params.size());
-  for (std::size_t i = 0; i < src_params.size(); ++i) {
-    assert(dst_params[i]->value.size() == src_params[i]->value.size());
-    dst_params[i]->value = src_params[i]->value;
-  }
-  auto src_q = model.quant_layers();
-  auto dst_q = copy->quant_layers();
-  for (std::size_t i = 0; i < src_q.size(); ++i) {
-    dst_q[i]->set_weight_scale(src_q[i]->weight_scale());
-    dst_q[i]->act_quantizer().set_scale(src_q[i]->act_quantizer().scale());
-    dst_q[i]->set_quant_enabled(src_q[i]->quant_enabled());
-  }
-  // Clones start in eval mode so a forward is bit-identical to the source
-  // (training mode would EMA-update the activation scales).
-  copy->set_training(false);
-  return copy;
 }
 
 std::vector<QuantLayerBase*> quant_layers(Module& m) { return m.quant_layers(); }

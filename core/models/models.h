@@ -72,10 +72,6 @@ class Module {
 
 std::unique_ptr<Module> make_model(ModelKind kind, const ModelConfig& cfg);
 
-/// Deep copy: fresh make_model + parameter values, weight scales and
-/// activation scales copied over. Used by the experiment model cache.
-std::unique_ptr<Module> clone_model(Module& model);
-
 /// All quant layers in forward order (free-function form used by benches).
 std::vector<QuantLayerBase*> quant_layers(Module& m);
 

@@ -29,11 +29,6 @@ struct ModelSnapshot {
   double clean_test_acc = 0.0;
 };
 
-std::map<std::string, double>& result_cache() {
-  static std::map<std::string, double> cache;
-  return cache;
-}
-
 std::map<std::string, EvalStats>& eval_cache() {
   static std::map<std::string, EvalStats> cache;
   return cache;
@@ -158,32 +153,6 @@ inline std::string train_key(ModelKind kind, const ModelConfig& mcfg,
 
 }  // namespace
 
-double with_result_cache(const std::string& key,
-                         const std::function<double()>& fn) {
-  auto& cache = result_cache();
-  auto it = cache.find(key);
-  if (it != cache.end()) return it->second;
-  double loaded = 0.0;
-  ClaimWait cw = claim_or_load("results", key, [&](StoreLoadOutcome* o) {
-    std::vector<double> persisted;
-    if (!store_load_doubles("results", key, &persisted, o) ||
-        persisted.size() != 1) {
-      return false;
-    }
-    loaded = persisted[0];
-    return true;
-  });
-  if (cw.loaded) {
-    cache.emplace(key, loaded);
-    return loaded;
-  }
-  const double value = fn();
-  if (cw.saw_corrupt) store_note_retrain_after_corruption();
-  cache.emplace(key, value);
-  store_save_doubles("results", key, {value});
-  return value;  // cw's claim (if held) releases here, after the publish
-}
-
 EvalStats with_eval_cache(const std::string& key,
                           const std::function<EvalStats()>& fn,
                           bool* computed) {
@@ -214,7 +183,6 @@ EvalStats with_eval_cache(const std::string& key,
 }
 
 void clear_experiment_caches(bool drop_disk) {
-  result_cache().clear();
   eval_cache().clear();
   model_cache().clear();
   if (drop_disk) store_drop_all();

@@ -36,11 +36,6 @@ namespace qavat {
 /// environment: smaller datasets, fewer epochs, fewer Monte-Carlo chips.
 bool fast_mode();
 
-/// Memoize a scalar result under a descriptive space-free key
-/// (memory, then disk store, then fn()).
-double with_result_cache(const std::string& key,
-                         const std::function<double()>& fn);
-
 /// Memoize a full Monte-Carlo evaluation under `key`: the per-chip
 /// accuracy vector persists (memory, then disk store) and the summary
 /// stats are recomputed from it, so a warm hit reproduces the cold

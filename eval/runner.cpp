@@ -3,12 +3,7 @@
 #include "eval/store.h"
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
-#include <deque>
-#include <exception>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 namespace qavat {
@@ -57,25 +52,18 @@ TrainedModel Session::train_model(const ScenarioSpec& spec) {
           ? train_ptq_vat_cached(spec.model, spec.model_cfg, data, spec.train)
           : train_cached(spec.model, spec.model_cfg, train_algo_for(spec.algo),
                          data, spec.train);
-  train_seconds_ += seconds_since(t0);
-  if (tm.trained) ++trained_;
-  if (tm.from_store) ++model_store_hits_;
+  counters_.train_seconds += seconds_since(t0);
+  if (tm.trained) ++counters_.trained;
+  if (tm.from_store) ++counters_.model_store_hits;
   return tm;
 }
 
 ScenarioResult Session::run(const ScenarioSpec& spec) {
-  ++scenarios_;
-  const auto t0 = std::chrono::steady_clock::now();
-  TrainedModel tm = train_model(spec);
-  return finish_scenario(spec, std::move(tm), seconds_since(t0));
-}
-
-ScenarioResult Session::finish_scenario(const ScenarioSpec& spec,
-                                        TrainedModel tm,
-                                        double train_seconds) {
   ScenarioResult r;
   r.key = spec.key();
-  r.train_seconds = train_seconds;
+  const auto t0 = std::chrono::steady_clock::now();
+  TrainedModel tm = train_model(spec);
+  r.train_seconds = seconds_since(t0);
   r.trained = tm.trained;
   r.model_from_store = tm.from_store;
   r.clean_acc = tm.clean_test_acc;
@@ -92,11 +80,11 @@ ScenarioResult Session::finish_scenario(const ScenarioSpec& spec,
         },
         &r.eval_computed);
     r.eval_seconds = seconds_since(t1);
-    eval_seconds_ += r.eval_seconds;
+    counters_.eval_seconds += r.eval_seconds;
     if (r.eval_computed) {
-      ++evals_computed_;
+      ++counters_.evals_computed;
     } else {
-      ++eval_cache_hits_;
+      ++counters_.eval_cache_hits;
     }
     r.mean_acc = r.mc.accuracy.mean;
   } else {
@@ -104,91 +92,8 @@ ScenarioResult Session::finish_scenario(const ScenarioSpec& spec,
     // result (already cached with the model snapshot).
     r.mean_acc = r.clean_acc;
   }
+  ++counters_.scenarios;
   return r;
-}
-
-std::vector<ScenarioResult> Session::run_all(
-    const std::vector<ScenarioSpec>& specs) {
-  std::vector<ScenarioResult> results;
-  results.reserve(specs.size());
-  if (specs.empty()) return results;
-
-  // Resolve every dataset on this thread first: dataset() inserts into
-  // the per-session map, and once fully populated both pipeline stages
-  // only read it (concurrent map reads are safe; a concurrent insert is
-  // not).
-  for (const ScenarioSpec& spec : specs) dataset(spec.model);
-
-  // Depth-1 lookahead queue between the stages: while this thread
-  // evaluates scenario N (and writes its eval artifacts), the executor
-  // trains scenario N+1. The single slot bounds lookahead, so at most
-  // three trained models are alive at once (training / queued /
-  // evaluating). The stages touch disjoint state — trainer: model
-  // cache, store "models" bucket, train-side counters; consumer: eval
-  // cache, store "evals" bucket, eval-side counters — so the handoff
-  // mutex is the only synchronization needed.
-  struct Trained {
-    TrainedModel tm;
-    double train_seconds = 0.0;
-    std::exception_ptr error;
-  };
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<Trained> ready;
-  bool abort = false;
-
-  std::thread executor([&] {
-    for (const ScenarioSpec& spec : specs) {
-      Trained t;
-      const auto t0 = std::chrono::steady_clock::now();
-      try {
-        t.tm = train_model(spec);
-      } catch (...) {
-        t.error = std::current_exception();
-      }
-      t.train_seconds = seconds_since(t0);
-      const bool stop_after = t.error != nullptr;
-      std::unique_lock<std::mutex> lk(mu);
-      cv.wait(lk, [&] { return abort || ready.empty(); });
-      if (abort) return;
-      ready.push_back(std::move(t));
-      cv.notify_all();
-      // Sequential semantics: a failed training ends the run at that
-      // scenario; nothing trains past it.
-      if (stop_after) return;
-    }
-  });
-  // Join the executor however this scope exits — an eval exception must
-  // not leave a detached trainer running into a dead Session.
-  struct Joiner {
-    std::thread& th;
-    std::mutex& mu;
-    std::condition_variable& cv;
-    bool& abort;
-    ~Joiner() {
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        abort = true;
-      }
-      cv.notify_all();
-      if (th.joinable()) th.join();
-    }
-  } joiner{executor, mu, cv, abort};
-
-  for (const ScenarioSpec& spec : specs) {
-    Trained t;
-    {
-      std::unique_lock<std::mutex> lk(mu);
-      cv.wait(lk, [&] { return !ready.empty(); });
-      t = std::move(ready.front());
-      ready.pop_front();
-      cv.notify_all();  // free the slot: the executor may push the next
-    }
-    if (t.error) std::rethrow_exception(t.error);
-    ++scenarios_;
-    results.push_back(finish_scenario(spec, std::move(t.tm), t.train_seconds));
-  }
-  return results;
 }
 
 std::vector<ClaimUnitRef> Session::claim_units(const ScenarioSpec& spec) {
@@ -266,17 +171,7 @@ std::vector<ScenarioResult> Session::run_manifest(const SweepManifest& manifest,
   return results;
 }
 
-SessionCounters Session::counters() const {
-  SessionCounters c;
-  c.scenarios = scenarios_;
-  c.trained = trained_;
-  c.model_store_hits = model_store_hits_;
-  c.evals_computed = evals_computed_;
-  c.eval_cache_hits = eval_cache_hits_;
-  c.train_seconds = train_seconds_;
-  c.eval_seconds = eval_seconds_;
-  return c;
-}
+SessionCounters Session::counters() const { return counters_; }
 
 void Session::print_summary(const char* name) const {
   // The trailing backend token tells the three backends' timings apart in
@@ -293,12 +188,13 @@ void Session::print_summary(const char* name) const {
       "model_store_hits=%lld "
       "evals_computed=%lld eval_cache_hits=%lld train_s=%.2f eval_s=%.2f "
       "backend=%s\n",
-      name, static_cast<long long>(scenarios_),
-      static_cast<long long>(trained_),
+      name, static_cast<long long>(counters_.scenarios),
+      static_cast<long long>(counters_.trained),
       static_cast<long long>(training_runs()),
-      static_cast<long long>(model_store_hits_),
-      static_cast<long long>(evals_computed_),
-      static_cast<long long>(eval_cache_hits_), train_seconds_, eval_seconds_,
+      static_cast<long long>(counters_.model_store_hits),
+      static_cast<long long>(counters_.evals_computed),
+      static_cast<long long>(counters_.eval_cache_hits),
+      counters_.train_seconds, counters_.eval_seconds,
       to_string(eval_backend_from_env()));
   // Store health companion line: the per-category counters that replaced
   // the single-shot write warning, plus the serialize-layer envelope

@@ -39,7 +39,7 @@ struct ScenarioResult {
 /// eval/experiment.h (training_runs()) because it is process-wide, not
 /// per-session.
 struct SessionCounters {
-  index_t scenarios = 0;        ///< run()/run_all units completed
+  index_t scenarios = 0;        ///< run() calls completed
   index_t trained = 0;          ///< scenarios that ran any train() phase
   index_t model_store_hits = 0; ///< models loaded from the disk store
   index_t evals_computed = 0;   ///< Monte-Carlo evals actually executed
@@ -76,19 +76,7 @@ class Session {
   /// Train (through the cache/store) and evaluate one scenario.
   ScenarioResult run(const ScenarioSpec& spec);
 
-  /// Pipelined batch execution: a background executor thread trains
-  /// scenario N+1 (model cache + store "models" bucket) while the
-  /// calling thread Monte-Carlo evaluates scenario N and writes its
-  /// eval artifacts — the two stages touch disjoint caches/counters, so
-  /// overlap changes wall clock only. Results return in spec order and
-  /// carry the same numbers, provenance and timing a sequential run()
-  /// loop would produce (every stage is deterministic; a warm store
-  /// still yields byte-identical tables). A training failure surfaces
-  /// as the failing scenario's exception at its position in the order,
-  /// after the executor has drained; nothing runs past it.
-  std::vector<ScenarioResult> run_all(const std::vector<ScenarioSpec>& specs);
-
-  /// Claim-aware batch execution over a manifest: results return in
+  /// Batch execution over a manifest (the one scheduler): results return in
   /// MANIFEST order with the same numbers and provenance a sequential
   /// run() loop would produce, but the execution order is dynamic —
   /// when a spec's next unproduced claim unit is held by another
@@ -114,8 +102,8 @@ class Session {
   /// artifact/claim state non-destructively.
   std::vector<ClaimUnitRef> claim_units(const ScenarioSpec& spec);
 
-  /// This session's provenance counters so far (run + run_all +
-  /// run_manifest + train_model all aggregate into the same totals).
+  /// This session's provenance counters so far (run, run_manifest and
+  /// train_model all aggregate into the same totals).
   SessionCounters counters() const;
 
   /// Just the (cached/store-backed) trained model of a scenario, for
@@ -141,20 +129,8 @@ class Session {
   void print_summary(const char* name) const;
 
  private:
-  // Evaluation half of run(): everything after training — shared by the
-  // sequential and pipelined paths so their results are identical by
-  // construction. Touches only eval-side caches and counters.
-  ScenarioResult finish_scenario(const ScenarioSpec& spec, TrainedModel tm,
-                                 double train_seconds);
-
   std::map<ModelKind, SplitDataset> datasets_;
-  index_t scenarios_ = 0;
-  index_t trained_ = 0;
-  index_t model_store_hits_ = 0;
-  index_t evals_computed_ = 0;
-  index_t eval_cache_hits_ = 0;
-  double train_seconds_ = 0.0;
-  double eval_seconds_ = 0.0;
+  SessionCounters counters_;
 };
 
 }  // namespace qavat

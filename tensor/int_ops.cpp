@@ -350,59 +350,6 @@ void quantize_to_s8(const float* x, index_t count, float inv_scale,
   });
 }
 
-RequantScale requant_scale(double scale) {
-  if (!(scale > 0.0) || !std::isfinite(scale)) {
-    throw std::invalid_argument("requant_scale: scale must be positive/finite");
-  }
-  int exp = 0;
-  const double frac = std::frexp(scale, &exp);  // frac in [0.5, 1)
-  std::int64_t q = std::llround(frac * static_cast<double>(std::int64_t{1} << 31));
-  if (q == (std::int64_t{1} << 31)) {  // frac rounded up to exactly 1.0
-    q >>= 1;
-    ++exp;
-  }
-  RequantScale rs;
-  rs.multiplier = static_cast<std::int32_t>(q);
-  rs.shift = 31 - exp;
-  // shift < 0 would need a left shift (scale >= 2^31); shift > 55 risks
-  // int64 overflow in the rounding add (scale < 2^-24). Both are far
-  // outside any sane activation-grid ratio.
-  if (rs.shift < 0 || rs.shift > 55) {
-    throw std::invalid_argument("requant_scale: scale out of [2^-24, 2^31)");
-  }
-  return rs;
-}
-
-std::int32_t requantize_one(std::int32_t acc, const RequantScale& rs) {
-  const std::int64_t prod = static_cast<std::int64_t>(acc) * rs.multiplier;
-  std::int64_t v;
-  if (rs.shift > 0) {
-    const std::int64_t half = std::int64_t{1} << (rs.shift - 1);
-    v = prod >= 0 ? (prod + half) >> rs.shift : -((-prod + half) >> rs.shift);
-  } else {
-    v = prod;
-  }
-  if (v > std::int64_t{2147483647}) return 2147483647;
-  if (v < std::int64_t{-2147483647} - 1) return -2147483648;
-  return static_cast<std::int32_t>(v);
-}
-
-void requantize_s32_s8(const std::int32_t* acc, index_t count,
-                       const RequantScale& rs, std::int32_t zero_point,
-                       std::int8_t* out) {
-  if (count < 0) {
-    throw std::invalid_argument("requantize_s32_s8: negative count");
-  }
-  parallel_for_elems(count, [=](index_t i0, index_t i1) {
-    for (index_t i = i0; i < i1; ++i) {
-      const std::int64_t v =
-          static_cast<std::int64_t>(requantize_one(acc[i], rs)) + zero_point;
-      out[i] = static_cast<std::int8_t>(
-          std::min<std::int64_t>(std::max<std::int64_t>(v, -128), 127));
-    }
-  });
-}
-
 namespace detail {
 
 bool int8_kernel_is_vnni() { return use_vnni(); }

@@ -1,4 +1,4 @@
-// Integer GEMM + requantization kernels for the int8 inference backend
+// Integer GEMM + quantization kernels for the int8 inference backend
 // (DESIGN.md §12). s8 x s8 -> s32 in the same NT layout as the float path
 // (A {m,k} row-major activations, B {n,k} row-major weight rows), register
 // tiled, with parallel_for row partitioning. Integer accumulation is
@@ -57,36 +57,6 @@ void gemm_s8s8_s32(const std::int8_t* a, const std::int8_t* b, std::int32_t* c,
 void quantize_to_s8(const float* x, index_t count, float inv_scale,
                     std::int32_t bias, std::int32_t lo, std::int32_t hi,
                     std::int8_t* out);
-
-/// gemmlowp-style fixed-point representation of a positive real multiplier:
-/// value ~= multiplier * 2^-shift with multiplier in [2^30, 2^31) — i.e. a
-/// Q31 mantissa — so requantize_one() needs only one 64-bit multiply and a
-/// round-half-away shift.
-struct RequantScale {
-  /// Q31 mantissa in [2^30, 2^31).
-  std::int32_t multiplier = 0;
-  /// Right-shift applied after the 64-bit multiply; >= 0 for any
-  /// real multiplier < 2^31.
-  int shift = 0;
-};
-
-/// Decompose `scale` (finite, in [2^-24, 2^31) — throws
-/// std::invalid_argument otherwise) into the multiplier/shift pair. Exact
-/// when scale is a dyadic rational with a <= 31-bit mantissa; nearest
-/// representable otherwise.
-RequantScale requant_scale(double scale);
-
-/// round-half-away-from-zero(acc * rs) saturated to int32. Ties (an exact
-/// .5 after the multiply) round away from zero, per the gemmlowp output
-/// pipeline — deliberately different from quantize_to_s8's half-to-even.
-std::int32_t requantize_one(std::int32_t acc, const RequantScale& rs);
-
-/// out[i] = clamp(requantize_one(acc[i], rs) + zero_point, -128, 127) as
-/// s8 over [0, count): the full int32 accumulator -> next-layer activation
-/// grid step for a pure-integer chain. Thread-count deterministic.
-void requantize_s32_s8(const std::int32_t* acc, index_t count,
-                       const RequantScale& rs, std::int32_t zero_point,
-                       std::int8_t* out);
 
 namespace detail {
 /// True when the AVX-512 VNNI kernel is compiled in and not overridden —

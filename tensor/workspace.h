@@ -19,15 +19,14 @@
 //    slots — trim() may free any slot at any sequence point between
 //    top-level forward/backward calls.
 //  * NOT thread-safe: one workspace per model, acquired only from the
-//    SINGLE thread driving forward/backward — with pipelined Session
-//    execution (eval/runner.h run_all) that driver is a different thread
-//    per model, never two threads on one model. Kernels parallelize
-//    internally via tensor/parallel_for.h; pool workers never re-enter
-//    acquire (parallel regions pre-acquire their scratch serially, e.g.
-//    the row-tile partials in pim/tiling.cpp). DriverScope makes the
-//    rule loud: while any scope is open, an acquire from a thread other
-//    than the scope-opening driver aborts with a diagnostic instead of
-//    silently corrupting scratch.
+//    SINGLE thread driving forward/backward — different models may be
+//    driven from different threads, never two threads on one model.
+//    Kernels parallelize internally via tensor/parallel_for.h; pool
+//    workers never re-enter acquire (parallel regions pre-acquire their
+//    scratch serially, e.g. the row-tile partials in pim/tiling.cpp).
+//    DriverScope makes the rule loud: while any scope is open, an
+//    acquire from a thread other than the scope-opening driver aborts
+//    with a diagnostic instead of silently corrupting scratch.
 //
 // The retained footprint is capped by QAVAT_WORKSPACE_MB (default 256):
 // Module::forward/backward call trim(cap_bytes_from_env()) after each
@@ -60,8 +59,7 @@ class Workspace {
   /// (nested passes share the driver); opening a scope from a second
   /// thread while another driver's scope is live, or acquiring from a
   /// non-driver thread inside a scope, aborts with a diagnostic — the
-  /// fail-loud half of the single-driver contract that pipelined
-  /// sessions (eval/runner.h run_all) rely on. The checks are two
+  /// fail-loud half of the single-driver contract. The checks are two
   /// relaxed atomics, cheap enough to stay on in Release.
   class DriverScope {
    public:

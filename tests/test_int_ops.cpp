@@ -1,4 +1,4 @@
-// Tier-1: integer GEMM + requantization kernels (tensor/int_ops.h) and the
+// Tier-1: integer GEMM + quantization kernels (tensor/int_ops.h) and the
 // int8 inference backend (core/quant/int8_backend.h). The integer kernels
 // carry a stronger determinism contract than the float path — results are
 // bit-identical for ANY thread count and for both kernel modes (VNNI and
@@ -153,50 +153,6 @@ int main() {
     // Narrower clamp window (the w8 symmetric range).
     quantize_to_s8(xs, 8, 100.0f, 0, -127, 127, out);
     CHECK(out[0] == 50 && out[6] == 127 && out[7] == -127);
-  }
-
-  // --- requant_scale / requantize_one: gemmlowp pipeline ---
-  {
-    const RequantScale half = requant_scale(0.5);
-    CHECK(half.multiplier == (1 << 30) && half.shift == 31);
-    // Ties round away from zero: 0.5 -> 1, 1.5 -> 2, -1.5 -> -2.
-    CHECK(requantize_one(1, half) == 1);
-    CHECK(requantize_one(3, half) == 2);
-    CHECK(requantize_one(-3, half) == -2);
-    CHECK(requantize_one(-1, half) == -1);
-    CHECK(requantize_one(4, half) == 2);
-    CHECK(requantize_one(0, half) == 0);
-
-    // Exact dyadic scale 3/1024: acc * 3 then half-away >> 10.
-    const RequantScale r = requant_scale(3.0 / 1024.0);
-    CHECK(requantize_one(1024, r) == 3);
-    CHECK(requantize_one(1000, r) == 3);   // 2.93 -> 3
-    CHECK(requantize_one(-1000, r) == -3);
-    CHECK(requantize_one(171, r) == 1);    // 0.5009 -> 1
-
-    // Saturation at both int32 rails.
-    const RequantScale big = requant_scale(1048576.0);  // 2^20
-    CHECK(requantize_one(1 << 20, big) == 2147483647);
-    CHECK(requantize_one(-(1 << 20), big) == -2147483647 - 1);
-
-    // Domain: outside [2^-24, 2^31) throws.
-    for (double bad : {0.0, -1.0, 1.0 / (1 << 30) / (1 << 30),
-                       4294967296.0}) {
-      bool threw = false;
-      try {
-        requant_scale(bad);
-      } catch (const std::invalid_argument&) {
-        threw = true;
-      }
-      CHECK(threw);
-    }
-
-    // requantize_s32_s8: zero-point shift then s8 clamp.
-    const std::int32_t acc[] = {0, 200, -400, 1024, -1024};
-    std::int8_t q[5];
-    requantize_s32_s8(acc, 5, half, 10, q);
-    const std::int8_t wantq[] = {10, 110, -128, 127, -128};
-    for (int i = 0; i < 5; ++i) CHECK(q[i] == wantq[i]);
   }
 
   // --- Int8Backend vs the float weight-domain forward, exact grid

@@ -1,11 +1,12 @@
-// Direct Session coverage over the runner/claim stack: run_all's
-// spec-order bit-identity against a sequential run() loop (cold and
+// Direct Session coverage over the runner/claim stack: run_manifest's
+// manifest-order bit-identity against a sequential run() loop (cold and
 // warm), provenance counter aggregation (counters()), failure
-// surfacing at the failing spec's position with nothing executing past
-// it, and the claim-aware scheduler's busy-skip behavior — a unit whose
-// claim is held elsewhere is deferred, not waited on, and results still
-// return in manifest order. Runs against a private temp store
-// (QAVAT_STORE_DIR is set first thing in main, before any store call).
+// surfacing with nothing executing past the failing spec, and the
+// claim-aware scheduler's busy-skip behavior — a unit whose claim is
+// held elsewhere is deferred, not waited on, and results still return
+// in manifest order. Runs against a private temp store (QAVAT_STORE
+// cleared and QAVAT_STORE_DIR set first thing in main, before any store
+// call).
 #include <unistd.h>
 
 #include <chrono>
@@ -58,9 +59,18 @@ bool results_identical(const ScenarioResult& a, const ScenarioResult& b) {
          a.mc.n_chips == b.mc.n_chips;
 }
 
-void test_run_all_matches_run_loop() {
-  const std::vector<ScenarioSpec> specs = {tiny_spec(11, 0.1),
-                                           tiny_spec(22, 0.3)};
+SweepManifest manifest_of(const char* name,
+                          const std::vector<ScenarioSpec>& specs) {
+  SweepManifest m;
+  m.name = name;
+  m.specs = specs;
+  return m;
+}
+
+void test_run_manifest_matches_run_loop() {
+  const SweepManifest m =
+      manifest_of("test", {tiny_spec(11, 0.1), tiny_spec(22, 0.3)});
+  const std::vector<ScenarioSpec>& specs = m.specs;
 
   // Cold sequential reference.
   clear_experiment_caches(true);
@@ -68,31 +78,39 @@ void test_run_all_matches_run_loop() {
   std::vector<ScenarioResult> loop_results;
   for (const ScenarioSpec& s : specs) loop_results.push_back(loop_session.run(s));
 
-  // Cold pipelined run_all on a re-dropped store: same numbers, same
-  // order, same provenance.
+  // Cold run_manifest (uncontended) on a re-dropped store: same
+  // numbers, manifest order, same provenance, in-order completion.
   clear_experiment_caches(true);
-  Session all_session;
-  const std::vector<ScenarioResult> all_results = all_session.run_all(specs);
-  CHECK(all_results.size() == specs.size());
+  Session cold_session;
+  SweepSchedule schedule;
+  const std::vector<ScenarioResult> cold_results =
+      cold_session.run_manifest(m, &schedule);
+  CHECK(cold_results.size() == specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    CHECK(all_results[i].key == specs[i].key());
-    CHECK(results_identical(all_results[i], loop_results[i]));
-    CHECK(all_results[i].trained);
-    CHECK(all_results[i].eval_computed);
+    CHECK(cold_results[i].key == specs[i].key());
+    CHECK(results_identical(cold_results[i], loop_results[i]));
+    CHECK(cold_results[i].trained);
+    CHECK(cold_results[i].eval_computed);
   }
-  const SessionCounters cold = all_session.counters();
+  CHECK(schedule.completion_order.size() == specs.size());
+  CHECK(schedule.completion_order[0] == 0);
+  CHECK(schedule.completion_order[1] == 1);
+  CHECK(schedule.deferrals == 0);
+  CHECK(schedule.wait_rounds == 0);
+  const SessionCounters cold = cold_session.counters();
   CHECK(cold.scenarios == 2);
   CHECK(cold.trained == 2);
   CHECK(cold.evals_computed == 2);
   CHECK(cold.eval_cache_hits == 0);
 
-  // Warm run_all through the store (memory caches dropped): nothing
-  // trains or evaluates, numbers bit-identical.
+  // Warm run_manifest through the store (memory caches dropped):
+  // nothing trains or evaluates, numbers bit-identical.
   clear_experiment_caches(false);
   Session warm_session;
-  const std::vector<ScenarioResult> warm_results = warm_session.run_all(specs);
+  const std::vector<ScenarioResult> warm_results = warm_session.run_manifest(m);
+  CHECK(warm_results.size() == specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    CHECK(results_identical(warm_results[i], all_results[i]));
+    CHECK(results_identical(warm_results[i], loop_results[i]));
     CHECK(!warm_results[i].trained);
     CHECK(warm_results[i].model_from_store);
     CHECK(!warm_results[i].eval_computed);
@@ -103,26 +121,6 @@ void test_run_all_matches_run_loop() {
   CHECK(warm.model_store_hits == 2);
   CHECK(warm.evals_computed == 0);
   CHECK(warm.eval_cache_hits == 2);
-
-  // run_manifest (uncontended) over the same specs: manifest-order
-  // results, identical numbers, in-order completion trace.
-  clear_experiment_caches(false);
-  SweepManifest m;
-  m.name = "test";
-  m.specs = specs;
-  Session manifest_session;
-  SweepSchedule schedule;
-  const std::vector<ScenarioResult> manifest_results =
-      manifest_session.run_manifest(m, &schedule);
-  CHECK(manifest_results.size() == specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    CHECK(results_identical(manifest_results[i], all_results[i]));
-  }
-  CHECK(schedule.completion_order.size() == specs.size());
-  CHECK(schedule.completion_order[0] == 0);
-  CHECK(schedule.completion_order[1] == 1);
-  CHECK(schedule.deferrals == 0);
-  CHECK(schedule.wait_rounds == 0);
 }
 
 void test_failure_position() {
@@ -132,37 +130,36 @@ void test_failure_position() {
   // input-shape check — a deterministic std::invalid_argument mid-grid.
   ScenarioSpec bad = tiny_spec(33, 0.2);
   bad.model_cfg.image_size += 4;
-  const std::vector<ScenarioSpec> specs = {tiny_spec(44, 0.1), bad,
-                                           tiny_spec(55, 0.3)};
+  const SweepManifest m =
+      manifest_of("failure", {tiny_spec(44, 0.1), bad, tiny_spec(55, 0.3)});
 
   Session session;
+  SweepSchedule schedule;
   bool threw = false;
   try {
-    session.run_all(specs);
+    session.run_manifest(m, &schedule);
   } catch (const std::invalid_argument&) {
     threw = true;
   }
   CHECK(threw);
   // Sequential semantics: the spec before the failure completed, the
   // one after it never started.
-  const SessionCounters c = session.counters();
-  CHECK(c.scenarios == 1);
-  const std::vector<ClaimUnitRef> after = session.claim_units(specs[2]);
+  CHECK(session.counters().scenarios == 1);
+  CHECK(schedule.completion_order.size() == 1);
+  const std::vector<ClaimUnitRef> after = session.claim_units(m.specs[2]);
   CHECK(!after.empty());
   CHECK(!store_has(after[0].bucket, after[0].key));
   // And the completed spec's artifacts did publish.
-  const std::vector<ClaimUnitRef> before = session.claim_units(specs[0]);
-  CHECK(!before.empty());
-  CHECK(store_has(before[0].bucket, before[0].key));
+  for (const ClaimUnitRef& u : session.claim_units(m.specs[0])) {
+    CHECK(store_has(u.bucket, u.key));
+  }
 }
 
 void test_scheduler_busy_skip() {
   clear_experiment_caches(true);
-  const std::vector<ScenarioSpec> specs = {clean_qat_spec(101),
-                                           clean_qat_spec(202)};
-  SweepManifest m;
-  m.name = "busy_skip";
-  m.specs = specs;
+  const SweepManifest m =
+      manifest_of("busy_skip", {clean_qat_spec(101), clean_qat_spec(202)});
+  const std::vector<ScenarioSpec>& specs = m.specs;
 
   Session probe_session;
   const std::string key0 = probe_session.claim_units(specs[0])[0].key;
@@ -210,18 +207,21 @@ void test_scheduler_busy_skip() {
 }  // namespace
 
 int main() {
-  // Private store, enabled, before any store call; fast claim backoff
-  // so the drain phase of the busy-skip test turns around quickly.
+  // Private store, enabled (whatever QAVAT_STORE this process
+  // inherited), before any store call; fast claim backoff so the drain
+  // phase of the busy-skip test turns around quickly.
+  ::unsetenv("QAVAT_STORE");
   const std::string store_dir =
       (fs::temp_directory_path() /
        ("qavat-test-runner-" + std::to_string(::getpid())))
           .string();
   ::setenv("QAVAT_STORE_DIR", store_dir.c_str(), 1);
   ::setenv("QAVAT_CLAIM_BACKOFF_MS", "5", 1);
+  CHECK(store_enabled());
   std::error_code ec;
   fs::remove_all(store_dir, ec);
 
-  test_run_all_matches_run_loop();
+  test_run_manifest_matches_run_loop();
   test_failure_position();
   test_scheduler_busy_skip();
 

@@ -190,44 +190,33 @@ void test_scenario_json_and_key() {
   CHECK(qat.key() != spec.key());
 }
 
-void test_store_read_through() {
-  int calls = 0;
-  const double v1 = with_result_cache("test_store_rt", [&] {
-    ++calls;
-    return 42.5;
-  });
-  CHECK(v1 == 42.5 && calls == 1);
-  // Memory hit.
-  const double v2 = with_result_cache("test_store_rt", [&] {
-    ++calls;
-    return -1.0;
-  });
-  CHECK(v2 == 42.5 && calls == 1);
-  // Disk hit after dropping the memory cache.
-  clear_experiment_caches();
-  const double v3 = with_result_cache("test_store_rt", [&] {
-    ++calls;
-    return -1.0;
-  });
-  CHECK(v3 == 42.5 && calls == 1);
-
-  // Same contract for the full-eval cache, via the per-chip vector.
+// A three-chip EvalStats as evaluate_under_variability would return it.
+EvalStats three_chip_stats() {
   EvalStats stats;
   stats.per_chip_acc = {0.5, 0.25, 1.0};
   stats.n_chips = 3;
   stats.accuracy = Stats::from(stats.per_chip_acc);
+  return stats;
+}
+
+void test_store_read_through() {
+  const EvalStats stats = three_chip_stats();
+  int calls = 0;
+  const auto fn = [&] {
+    ++calls;
+    return calls == 1 ? stats : EvalStats{};
+  };
   bool computed = false;
-  EvalStats got = with_eval_cache(
-      "test_store_eval", [&] { return stats; }, &computed);
-  CHECK(computed);
+  EvalStats got = with_eval_cache("test_store_eval", fn, &computed);
+  CHECK(computed && calls == 1);
+  // Memory hit.
+  got = with_eval_cache("test_store_eval", fn, &computed);
+  CHECK(!computed && calls == 1);
+  CHECK(got.per_chip_acc == stats.per_chip_acc);
+  // Disk hit after dropping the memory cache: the per-chip vector
+  // persists and the summary stats recompute bit-identically.
   clear_experiment_caches();
-  got = with_eval_cache(
-      "test_store_eval",
-      [&] {
-        ++calls;
-        return EvalStats{};
-      },
-      &computed);
+  got = with_eval_cache("test_store_eval", fn, &computed);
   CHECK(!computed && calls == 1);
   CHECK(got.n_chips == 3);
   CHECK(got.per_chip_acc == stats.per_chip_acc);
@@ -318,7 +307,9 @@ void test_key_filename() {
 }  // namespace
 
 int main() {
-  // Private store for this test binary; set before any store access.
+  // Store on (whatever QAVAT_STORE this process inherited) and private
+  // to this test binary; set before any store access.
+  ::unsetenv("QAVAT_STORE");
   const fs::path store_dir =
       fs::temp_directory_path() /
       ("qavat_test_store_" + std::to_string(::getpid()));
@@ -338,15 +329,16 @@ int main() {
   CHECK(!store_enabled());
   clear_experiment_caches();
   int calls = 0;
-  with_result_cache("test_store_disabled", [&] {
+  const auto fn = [&] {
     ++calls;
-    return 1.0;
-  });
+    return three_chip_stats();
+  };
+  bool computed = false;
+  with_eval_cache("test_store_disabled", fn, &computed);
+  CHECK(computed);
   clear_experiment_caches();
-  with_result_cache("test_store_disabled", [&] {
-    ++calls;
-    return 1.0;
-  });
+  with_eval_cache("test_store_disabled", fn, &computed);
+  CHECK(computed);
   CHECK(calls == 2);  // no disk backing while disabled
   ::unsetenv("QAVAT_STORE");
 

@@ -447,9 +447,14 @@ void test_unwritable_store_computes_locally() {
   const fs::path bogus_root = g_store_dir / "not_a_dir";
   plant_file(bogus_root, "plain file, not a store root");
   ::setenv("QAVAT_STORE_DIR", bogus_root.c_str(), 1);
-  const double got =
-      with_result_cache("faults_unwritable_store", [] { return 42.5; });
-  CHECK(got == 42.5);
+  EvalStats stats;
+  stats.per_chip_acc = {42.5};
+  stats.n_chips = 1;
+  bool computed = false;
+  const EvalStats got = with_eval_cache(
+      "faults_unwritable_store", [&] { return stats; }, &computed);
+  CHECK(computed);
+  CHECK(got.per_chip_acc == stats.per_chip_acc);
   ::setenv("QAVAT_STORE_DIR", g_store_dir.c_str(), 1);
   fs::remove(bogus_root);
 }
@@ -467,8 +472,10 @@ void test_fsync_mode_roundtrip() {
 }  // namespace
 
 int main() {
-  // Private store for this binary; set before any store access. Short
-  // backoff so contention tests spin fast.
+  // Store on (whatever QAVAT_STORE this process inherited) and private
+  // to this binary; set before any store access. Short backoff so
+  // contention tests spin fast.
+  ::unsetenv("QAVAT_STORE");
   g_store_dir = fs::temp_directory_path() /
                 ("qavat_test_store_faults_" + std::to_string(::getpid()));
   ::setenv("QAVAT_STORE_DIR", g_store_dir.c_str(), 1);

@@ -11,17 +11,13 @@
 //       setting. --shards K instead writes K disjoint round-robin
 //       manifests (<base>.shard<i>of<K>) for hosts that do not share a
 //       store; together they partition the grid losslessly.
-//   qavat-sweep run <manifest.json> [--workers K] [--sequential]
-//                   [--dry-run]
+//   qavat-sweep run <manifest.json> [--workers K] [--dry-run]
 //       Execute a manifest. Default: one in-process claim-aware
 //       run_manifest pass. --workers K forks K workers (before any
 //       compute, so no pool threads cross fork) over the shared store;
 //       the parent asserts every worker's result vector is
-//       byte-identical and prints worker 0's. --sequential uses the
-//       plain pipelined run_all — the byte-comparable reference the CI
-//       manifest gate diffs the scheduler paths against. --dry-run
-//       probes each spec's claim units (done/busy/ready) and runs
-//       nothing.
+//       byte-identical and prints worker 0's. --dry-run probes each
+//       spec's claim units (done/busy/ready) and runs nothing.
 //
 // Per-result stdout lines are byte-stable across all run modes:
 //   result <i> key=<spec key> clean=<g> mean=<g> stddev=<g>
@@ -54,12 +50,9 @@ int usage(const char* argv0) {
                "manifest\n"
                "                               (--shards K: K disjoint "
                "round-robin manifests)\n"
-               "  run <manifest.json> [--workers K] [--sequential] "
-               "[--dry-run]\n"
+               "  run <manifest.json> [--workers K] [--dry-run]\n"
                "                               execute a manifest "
-               "(claim-aware scheduler;\n"
-               "                               --sequential = plain run_all "
-               "reference)\n",
+               "(claim-aware scheduler)\n",
                argv0);
   return 2;
 }
@@ -159,12 +152,11 @@ int dry_run(const SweepManifest& m) {
   return 0;
 }
 
-// One in-process pass, claim-aware (default) or sequential reference.
-int run_single(const SweepManifest& m, bool sequential) {
+// One in-process claim-aware pass.
+int run_single(const SweepManifest& m) {
   const long long runs_before = static_cast<long long>(training_runs());
   Session session;
-  const std::vector<ScenarioResult> results =
-      sequential ? session.run_all(m.specs) : session.run_manifest(m);
+  const std::vector<ScenarioResult> results = session.run_manifest(m);
   print_results(results);
   session.print_summary("qavat-sweep");
   print_provenance(m, 1, static_cast<long long>(training_runs()) - runs_before);
@@ -294,14 +286,11 @@ int cmd_run(int argc, char** argv) {
   if (argc < 3) return usage(argv[0]);
   const std::string path = argv[2];
   int workers = 1;
-  bool sequential = false;
   bool dry = false;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--workers" && i + 1 < argc) {
       workers = std::atoi(argv[++i]);
-    } else if (arg == "--sequential") {
-      sequential = true;
     } else if (arg == "--dry-run") {
       dry = true;
     } else {
@@ -316,7 +305,7 @@ int cmd_run(int argc, char** argv) {
     return 1;
   }
   if (dry) return dry_run(m);
-  if (sequential || workers <= 1) return run_single(m, sequential);
+  if (workers <= 1) return run_single(m);
   return run_workers(m, workers);
 }
 
